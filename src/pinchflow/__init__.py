@@ -4,8 +4,7 @@ surfaces in the unit sphere."""
 from .errors import (BadDims, BadParams, BlowupDetected, DegenerateAfterPerturb,
                      DegenerateJet, EmptyFeasibleSet, Extinct,
                      InsufficientStencil, OffSphere, PinchflowError, PoleRow)
-from .tensor_kernel import (BatchGeometry, Jet2, PointGeometry,
-                            SecondFundamentalForm, batch_geometry, point_geometry)
+from .tensor_kernel import BatchGeometry, Jet2, batch_geometry, point_geometry
 from .frames import ABCFrame, TracelessSplit, reconstruct, specialize, split_traceless
 from .identities import (CurvatureField, GradientMargins, KperpChecks,
                          ReactionTerms, gradient_margins, kperp_checks,

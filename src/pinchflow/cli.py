@@ -75,26 +75,16 @@ def cmd_verify(args) -> int:
     ht = _traceless(h)
     li_min = float((1.5 * norms_batch(ht)[2] ** 2 - r1_batch(ht)).min())
 
-    kp_abs_resid = 0.0
-    roundtrip_resid = 0.0
-    brute_closed_resid = 0.0
-    gap_identity_resid = 0.0
-    printed_gap = 0.0
-    for row in h:
-        fr = specialize(row)
-        kp_abs_resid = max(kp_abs_resid,
-                           abs(abs(float(kperp_scalar(row))) - 2.0 * fr.a * abs(fr.c)))
-        roundtrip_resid = max(roundtrip_resid,
-                              float(np.abs(reconstruct(fr) - row).max()))
-        chk = kperp_checks(row, kbar=1.0)
-        scale = 1.0 + abs(chk.reaction_brute)
-        brute_closed_resid = max(brute_closed_resid,
-                                 abs(chk.reaction_brute - chk.reaction_closed) / scale)
-        kpv = float(kperp_scalar(row))
-        gap = chk.reaction_brute - chk.reaction_printed
-        printed_gap = max(printed_gap, abs(gap))
-        gap_identity_resid = max(gap_identity_resid,
-                                 abs(gap - 2.0 * kpv * fr.b ** 2) / scale)
+    chk = kperp_checks(h, kbar=1.0)
+    scale = 1.0 + np.abs(chk.reaction_brute)
+    brute_closed_resid = float(
+        (np.abs(chk.reaction_brute - chk.reaction_closed) / scale).max())
+    gap = chk.reaction_brute - chk.reaction_printed
+    printed_gap = float(np.abs(gap).max())
+    fr = specialize(h)
+    gap_identity_resid = float((np.abs(gap - 2.0 * kp * fr.b ** 2) / scale).max())
+    kp_abs_resid = float(np.abs(np.abs(kp) - 2.0 * fr.a * np.abs(fr.c)).max())
+    roundtrip_resid = float(np.abs(reconstruct(fr) - h).max())
 
     checks = [
         {"name": "z_brute_vs_closed", "max_residual": z_resid, "tolerance": tol},
@@ -145,11 +135,11 @@ def cmd_canonical(args) -> int:
     jet = surf.jet_at(0.9, 1.3)
     geom = point_geometry(jet, kbar=1.0)
     computed = {
-        "normA2": geom.normA2,
-        "normH2": geom.normH2,
-        "normTracelessA2": geom.normTracelessA2,
-        "kperp_abs": abs(geom.kperp) if geom.kperp is not None else None,
-        "gauss": geom.gauss,
+        "normA2": float(geom.normA2),
+        "normH2": float(geom.normH2),
+        "normTracelessA2": float(geom.normTracelessA2),
+        "kperp_abs": abs(float(geom.kperp)) if geom.kperp is not None else None,
+        "gauss": float(geom.gauss),
     }
     rows = []
     ok = True
@@ -284,13 +274,15 @@ def cmd_report(args) -> int:
     lines = []
     ok = True
     for path in sorted(glob.glob(os.path.join(args.output_dir, "*.json"))):
+        base = os.path.basename(path)
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
+            lines.append("%s: unreadable (%s)" % (base, exc))
+            ok = False
             continue
         cmd = data.get("command")
-        base = os.path.basename(path)
         if cmd == "verify":
             ok = ok and data.get("all_pass", False)
             worst = max(data.get("checks", []),

@@ -11,6 +11,9 @@ usual cure for the pole clustering of such grids).
 The time stepper uses a lean velocity evaluation (projection of the
 chart-trace of the second derivatives onto the normal space), which needs no
 normal frames; full frame-based geometry is computed only at monitor strides.
+Stepping works on component-major arrays, (ambient_dim, nu, nv), so its dot
+products and FFTs run over whole grid planes; the surfaces it returns keep
+the (nu, nv, ambient_dim) layout of GridSurface.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (BadParams, BlowupDetected, DegenerateJet, Extinct,
-                     OffSphere)
+                     InsufficientStencil, OffSphere)
 from .grids import GridSurface, batch_jets
 from .identities import CurvatureField, gradient_margins
 from .pinching import ConeParams, harnack_bound, q_from_invariants
@@ -30,6 +33,12 @@ from .tensor_kernel import batch_geometry
 SNAPSHOT_VERSION = 1
 CSV_HEADER = ("t,area,h_min,h_max,a2_max,q_min,q_max,ratio_max,grad_ratio,"
               "kperp_min,kperp_max,harnack_violations")
+H_THRESHOLD = 1e-3          # |H| cutoff for ratio_max
+MAX_STEPS = 2_000_000       # step budget of run
+FILTER_FRACTION = 0.75      # resolvable share of the zonal band (_zonal_filter)
+SHRINK_AREA_FRAC = 0.05     # Shrinking: final area below this share of the initial
+SHRINK_RATIO_TOL = 0.1      # Shrinking: |A|^2/|H|^2 within this of 1/2
+RADIUS_AXIS = 3             # ambient axis of a geodesic sphere's radius trajectory
 
 
 @dataclass
@@ -56,10 +65,6 @@ class MonitorRecord:
     harnack_violations: int
     indices: dict = field(default_factory=dict)
 
-    @property
-    def kperp_range(self):
-        return (self.kperp_min, self.kperp_max)
-
     def csv_row(self) -> str:
         vals = [self.t, self.area, self.h_min, self.h_max, self.a2_max,
                 self.q_min, self.q_max, self.ratio_max, self.grad_ratio,
@@ -81,12 +86,6 @@ class FlowConfig:
     cone: ConeParams | None = None
     harnack_csharp: float | None = None
     harnack_delta0: float | None = None
-    h_threshold: float = 1e-3        # |H| cutoff for ratio_max
-    max_steps: int = 2_000_000
-    filter_fraction: float = 0.75
-    shrink_area_frac: float = 0.05
-    shrink_ratio_tol: float = 0.1
-    radius_axis: int | None = None   # ambient axis for the radius trajectory
 
     def __post_init__(self):
         if self.scheme not in ("euler", "rk2"):
@@ -111,87 +110,65 @@ class FlowResult:
 # ---------------------------------------------------------------------------
 # velocity
 
-def _metric_inverse(first):
-    g11 = np.einsum("...m,...m->...", first[..., 0, :], first[..., 0, :])
-    g22 = np.einsum("...m,...m->...", first[..., 1, :], first[..., 1, :])
-    g12 = np.einsum("...m,...m->...", first[..., 0, :], first[..., 1, :])
-    det = g11 * g22 - g12 * g12
-    if det.min() <= 0 or not np.isfinite(det).all():
-        raise DegenerateJet("induced metric degenerated (min det = %.3e)" % det.min())
-    ginv = np.empty(first.shape[:-2] + (2, 2))
-    ginv[..., 0, 0] = g22 / det
-    ginv[..., 1, 1] = g11 / det
-    ginv[..., 0, 1] = -g12 / det
-    ginv[..., 1, 0] = -g12 / det
-    return ginv, det
-
-
 def _lean_velocity(pos, first, second):
     """(H_S vector, |A|^2) without constructing normal frames.
 
-    H_S is the orthogonal projection of g^{ab} d2F_ab onto the complement of
-    span{F, dF}; |A|^2 contracts the normal-projected second derivatives.
+    Takes and returns component-major jets (batch_jets(...,
+    components_first=True)): pos (d, ...), first (2, d, ...), second
+    (2, 2, d, ...), velocity (d, ...).  H_S is the orthogonal projection of
+    g^{ab} d2F_ab onto the complement of span{F, dF}; |A|^2 contracts the
+    normal-projected second derivatives.
     """
-    # hand-unrolled n = 2 contractions in packed symmetric form (uu, uv, vv):
-    # this is the per-step hot loop, and fused passes over one (..., 3, m)
-    # block beat batched einsum/matmul on tiny index ranges by a wide margin
-    fu, fv = first[..., 0, :], first[..., 1, :]
-    g11 = np.einsum("...m,...m->...", fu, fu)
-    g22 = np.einsum("...m,...m->...", fv, fv)
-    g12 = np.einsum("...m,...m->...", fu, fv)
+    # hand-unrolled n = 2 contractions: this is the per-step hot loop, and
+    # with the ambient components on the leading axis every dot product is
+    # a sum of d products of whole grid planes
+    def dot(a, b):
+        return np.einsum("m...,m...->...", a, b)
+
+    fu, fv = first
+    g11, g22, g12 = dot(fu, fu), dot(fv, fv), dot(fu, fv)
     det = g11 * g22 - g12 * g12
     if det.min() <= 0 or not np.isfinite(det).all():
         raise DegenerateJet("induced metric degenerated (min det = %.3e)" % det.min())
     ga, gb, gc = g22 / det, -g12 / det, g11 / det
 
-    packed = np.stack(
-        [second[..., 0, 0, :], second[..., 0, 1, :], second[..., 1, 1, :]], axis=-2)
-    basis = np.stack([pos, fu, fv], axis=-2)
-    dots = packed @ np.swapaxes(basis, -1, -2)  # cols: (.pos, .fu, .fv)
-    sp, s1, s2 = dots[..., 0:1], dots[..., 1:2], dots[..., 2:3]
-    coeffs = np.concatenate(
-        [sp, ga[..., None, None] * s1 + gb[..., None, None] * s2,
-         gb[..., None, None] * s1 + gc[..., None, None] * s2], axis=-1)
-    # normal part of each packed second derivative (projection is linear,
-    # so the velocity is just the g-trace of these)
-    norm2 = packed - coeffs @ basis
-    weights = np.stack([ga, 2.0 * gb, gc], axis=-1)
-    vel = (weights[..., None, :] @ norm2)[..., 0, :]
+    # normal part of each second derivative (uu, uv, vv); the projection is
+    # linear, so the velocity is just the g-trace of these
+    normal = []
+    for s in (second[0, 0], second[0, 1], second[1, 1]):
+        s1, s2 = dot(s, fu), dot(s, fv)
+        normal.append(s - dot(s, pos) * pos - (ga * s1 + gb * s2) * fu
+                      - (gb * s1 + gc * s2) * fv)
+    nuu, nuv, nvv = normal
+    vel = ga * nuu + (2.0 * gb) * nuv + gc * nvv
 
-    # index raising on packed components; middle row carries the uv
-    # multiplicity so a2 is a single flat contraction
-    raise_mat = np.empty(ga.shape + (3, 3))
-    raise_mat[..., 0, 0] = ga * ga
-    raise_mat[..., 0, 1] = 2.0 * ga * gb
-    raise_mat[..., 0, 2] = gb * gb
-    raise_mat[..., 1, 0] = 2.0 * ga * gb
-    raise_mat[..., 1, 1] = 2.0 * (ga * gc + gb * gb)
-    raise_mat[..., 1, 2] = 2.0 * gb * gc
-    raise_mat[..., 2, 0] = gb * gb
-    raise_mat[..., 2, 1] = 2.0 * gb * gc
-    raise_mat[..., 2, 2] = gc * gc
-    up = raise_mat @ norm2
-    a2 = np.einsum("...cm,...cm->...", up, norm2)
+    # |A|^2 = g^{ac} g^{bd} <N_ab, N_cd>, summed over the packed pairs
+    a2 = (ga * ga * dot(nuu, nuu) + 2.0 * (ga * gc + gb * gb) * dot(nuv, nuv)
+          + gc * gc * dot(nvv, nvv) + 4.0 * ga * gb * dot(nuu, nuv)
+          + 2.0 * gb * gb * dot(nuu, nvv) + 4.0 * gb * gc * dot(nuv, nvv))
     return vel, a2
 
 
 def mcf_velocity(surface: GridSurface) -> np.ndarray:
     """Mean curvature vector field within the sphere, zero on pole rows."""
-    pos, first, second = batch_jets(surface)
-    vel, _ = _lean_velocity(pos, first, second)
+    vel, _ = _lean_velocity(*batch_jets(surface, components_first=True))
     out = np.zeros_like(surface.samples)
-    out[surface.valid_rows] = vel
+    out[surface.valid_rows] = np.moveaxis(vel, 0, -1)
     return out
 
 
 # ---------------------------------------------------------------------------
-# stepping
+# stepping (component-major samples: (ambient_dim, nu, nv))
+
+def _unit(samples: np.ndarray) -> np.ndarray:
+    return samples / np.sqrt((samples * samples).sum(axis=0))
+
 
 def _refresh_poles(samples: np.ndarray) -> None:
     for row, src in ((0, 1), (-1, -2)):
-        mean = samples[src].mean(axis=0)
+        mean = samples[:, src].mean(axis=-1)
         mean /= np.linalg.norm(mean)
-        samples[row] = mean
+        samples[:, row] = mean[:, None]
 
 
 def _zonal_filter(samples: np.ndarray, u_values: np.ndarray, frac: float) -> np.ndarray:
@@ -201,47 +178,44 @@ def _zonal_filter(samples: np.ndarray, u_values: np.ndarray, frac: float) -> np.
     count a latitude circle of radius sin(u) can support shrinks toward the
     poles, and unfiltered grids go unstable there long before the interior.
     """
-    nv = samples.shape[1]
-    spec = np.fft.rfft(samples, axis=1)
+    nv = samples.shape[-1]
+    spec = np.fft.rfft(samples, axis=-1)
     mmax = np.floor(frac * (nv / 2.0) * np.abs(np.sin(u_values))).astype(int)
     mmax = np.maximum(mmax, 1)
-    modes = np.arange(spec.shape[1])
+    modes = np.arange(spec.shape[-1])
     mask = modes[None, :] <= mmax[:, None]
-    return np.fft.irfft(spec * mask[:, :, None], n=nv, axis=1)
+    return np.fft.irfft(spec * mask, n=nv, axis=-1)
 
 
-def _advance(surface: GridSurface, vel_valid: np.ndarray, dt: float,
-             filter_fraction: float) -> GridSurface:
-    samples = surface.samples.copy()
-    samples[surface.valid_rows] += dt * vel_valid
+def _advance(surface: GridSurface, vel_valid: np.ndarray, dt: float) -> GridSurface:
+    """Move the valid rows by dt * vel_valid (d, r, nv) and restabilize."""
+    samples = np.moveaxis(surface.samples, -1, 0).copy()
+    samples[:, surface.valid_rows] += dt * vel_valid
     if surface.topology == "sphere":
         _refresh_poles(samples)
-        samples /= np.linalg.norm(samples, axis=-1, keepdims=True)
-        samples = _zonal_filter(samples, surface.u_values, filter_fraction)
-    samples /= np.linalg.norm(samples, axis=-1, keepdims=True)
-    return surface.copy_with(samples)
+        samples = _zonal_filter(_unit(samples), surface.u_values, FILTER_FRACTION)
+    samples = _unit(samples)
+    return surface.copy_with(np.ascontiguousarray(np.moveaxis(samples, 0, -1)))
 
 
 def step(state: FlowState, scheme: str = "euler", cfl: float = 0.2,
-         ceiling: float = 1e6, filter_fraction: float = 0.75) -> FlowState:
+         ceiling: float = 1e6) -> FlowState:
     """One explicit step with dt = cfl * (min spacing)^2 / max(1, a2_max)."""
     surf = state.surface
-    pos, first, second = batch_jets(surf)
-    vel, a2 = _lean_velocity(pos, first, second)
+    vel, a2 = _lean_velocity(*batch_jets(surf, components_first=True))
     a2max = float(a2.max())
     if not math.isfinite(a2max) or a2max > ceiling:
         raise BlowupDetected("a2_max = %.6e beyond ceiling %.3e at t = %.8f"
                              % (a2max, ceiling, state.t))
     dt = cfl * min(surf.du, surf.dv) ** 2 / max(1.0, a2max)
     if scheme == "euler":
-        new = _advance(surf, vel, dt, filter_fraction)
+        new = _advance(surf, vel, dt)
     elif scheme == "rk2":
-        mid = _advance(surf, vel, 0.5 * dt, filter_fraction)
-        pos2, first2, second2 = batch_jets(mid)
-        vel2, a2b = _lean_velocity(pos2, first2, second2)
+        mid = _advance(surf, vel, 0.5 * dt)
+        vel2, a2b = _lean_velocity(*batch_jets(mid, components_first=True))
         if float(a2b.max()) > ceiling:
             raise BlowupDetected("a2_max exceeded ceiling at the RK2 midpoint")
-        new = _advance(surf, vel2, dt, filter_fraction)
+        new = _advance(surf, vel2, dt)
     else:
         raise BadParams("scheme must be euler or rk2")
     return FlowState(t=state.t + dt, step_index=state.step_index + 1,
@@ -286,7 +260,7 @@ def _grad_ratio(geom, surface, cfg):
     fld = CurvatureField.from_batch(geom, surface.du, surface.dv, wrap_u, True)
     try:
         margins = gradient_margins(fld)
-    except Exception:
+    except (InsufficientStencil, np.linalg.LinAlgError):
         return float("nan")
     n = geom.n
     g = geom.normH2 / (n - 1.0) - geom.normA2 + 2.0 * cfg.kbar
@@ -348,7 +322,7 @@ def monitor(surface: GridSurface, cfg: FlowConfig, t: float) -> MonitorRecord:
     else:
         q_min = q_max = float("nan")
 
-    strong = habs > cfg.h_threshold
+    strong = habs > H_THRESHOLD
     if strong.any():
         ratio_max = float((geom.normA2[strong] / geom.normH2[strong]).max())
     else:
@@ -409,9 +383,7 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
     write_snapshot for the artifact formats.
     """
     cfg = config or FlowConfig()
-    axis = cfg.radius_axis
-    if axis is None and surface.meta.get("kind") == "geodesic-sphere":
-        axis = 3
+    axis = RADIUS_AXIS if surface.meta.get("kind") == "geodesic-sphere" else None
 
     state = FlowState(t=0.0, step_index=0, surface=surface, dt_last=0.0)
     records = [monitor(surface, cfg, 0.0)]
@@ -426,14 +398,13 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
         if state.t >= cfg.t_max:
             outcome = "Inconclusive"
             break
-        if state.step_index >= cfg.max_steps:
+        if state.step_index >= MAX_STEPS:
             outcome = "Inconclusive"
             notes.append("step budget exhausted at t = %.6f" % state.t)
             break
         try:
             state = step(state, scheme=cfg.scheme, cfl=cfg.cfl,
-                         ceiling=cfg.blowup_ceiling,
-                         filter_fraction=cfg.filter_fraction)
+                         ceiling=cfg.blowup_ceiling)
         except BlowupDetected as exc:
             notes.append(str(exc))
             aborted = True
@@ -458,12 +429,13 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
             records.append(rec)
             if axis is not None:
                 radius.append((state.t, _mean_radius(state.surface, axis)))
-        except Exception:
-            notes.append("final monitor unavailable; classifying from last record")
+        except (DegenerateJet, OffSphere) as exc:
+            notes.append("final monitor unavailable (%s); classifying from last record"
+                         % exc)
         last = records[-1]
-        shrunk = (last.area < cfg.shrink_area_frac * initial_area
+        shrunk = (last.area < SHRINK_AREA_FRAC * initial_area
                   and math.isfinite(last.ratio_max)
-                  and abs(last.ratio_max - 1.0 / 2.0) < cfg.shrink_ratio_tol)
+                  and abs(last.ratio_max - 1.0 / 2.0) < SHRINK_RATIO_TOL)
         outcome = "Shrinking" if shrunk else "NumericalBlowup"
 
     extinction = _extinction_estimate(records) if outcome == "Shrinking" else None

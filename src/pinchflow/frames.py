@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDims
-from .tensor_kernel import SecondFundamentalForm
 
 H_ZERO_TOL = 1e-12
 EIG_TIE_REL = 1e-9
@@ -32,19 +31,25 @@ EIG_TIE_REL = 1e-9
 
 @dataclass
 class ABCFrame:
-    a: float
-    b: float
-    c: float
-    h_norm: float
+    """Special frame of h, batched like its input.
+
+    a, b, c and h_norm have the batch shape of the input (scalars for a
+    single (2, 2, 2) form); the rotations are (..., 2, 2).
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    h_norm: np.ndarray
     tangent_rotation: np.ndarray
     normal_rotation: np.ndarray
 
     @property
-    def kperp(self) -> float:
+    def kperp(self):
         return 2.0 * self.a * self.c
 
     @property
-    def normTracelessA2(self) -> float:
+    def normTracelessA2(self):
         return 2.0 * (self.a * self.a + self.b * self.b + self.c * self.c)
 
 
@@ -54,90 +59,96 @@ class TracelessSplit:
     normAminus_2: float
 
 
-def _components(h) -> np.ndarray:
-    if isinstance(h, SecondFundamentalForm):
-        return h.components
-    return np.asarray(h, dtype=float)
-
-
 def _fallback_direction(amats: np.ndarray) -> np.ndarray:
-    """Unit k-vector maximizing |h . nu| when H vanishes.
+    """Unit k-vectors maximizing |h . nu| when H vanishes, batched over
+    amats of shape (..., k, n, n).
 
     Top eigenvector of the normal-space Gram matrix <A_alpha, A_beta>;
     a (numerically) degenerate top eigenvalue falls back to the first
     normal direction.  The sign is canonicalized so the largest-magnitude
-    component is positive.
+    component (the first one on ties) is positive.
     """
-    k = amats.shape[0]
-    gram = np.einsum("aij,bij->ab", amats, amats)
+    k = amats.shape[-3]
+    gram = np.einsum("...aij,...bij->...ab", amats, amats)
     evals, evecs = np.linalg.eigh(gram)
-    top = evals[-1]
-    gap = top - evals[-2] if k > 1 else top
-    if top <= H_ZERO_TOL or gap <= EIG_TIE_REL * max(top, 1.0):
-        u = np.zeros(k)
-        u[0] = 1.0
-        return u
-    u = evecs[:, -1]
-    pivot = np.argmax(np.abs(u))
-    if u[pivot] < 0:
-        u = -u
-    return u
+    top = evals[..., -1]
+    gap = top - evals[..., -2] if k > 1 else top
+    tie = (top <= H_ZERO_TOL) | (gap <= EIG_TIE_REL * np.maximum(top, 1.0))
+    u = evecs[..., :, -1]
+    pivot = np.take_along_axis(u, np.argmax(np.abs(u), axis=-1)[..., None], axis=-1)
+    u = np.where(pivot < 0, -u, u)
+    first = np.zeros(k)
+    first[0] = 1.0
+    return np.where(tie[..., None], first, u)
+
+
+def _first_normal(amats: np.ndarray):
+    """(mean, |H|, nu_1) for amats of shape (..., k, n, n): nu_1 is the unit
+    mean-curvature direction, or the fallback direction where H = 0."""
+    mean = np.einsum("...aii->...a", amats)
+    h_norm = np.linalg.norm(mean, axis=-1)
+    weak = h_norm <= H_ZERO_TOL
+    u = mean / np.where(weak, 1.0, h_norm)[..., None]
+    if weak.any():
+        u[weak] = _fallback_direction(amats[weak])
+    return mean, h_norm, u
 
 
 def specialize(h) -> ABCFrame:
-    """Reduce a (2, 2) second fundamental form to its ABCFrame.
+    """Reduce (2, 2) second fundamental forms, shape (..., 2, 2, 2), to
+    their ABCFrame.
 
     The returned rotations satisfy: rotating the input normal frame by
     normal_rotation and the tangent frame by tangent_rotation puts h into
     the canonical (a, b, c, |H|) shape.  Both are proper rotations, so the
     sign of the normal curvature is preserved: K_perp(input) = 2ac.
     """
-    comp = _components(h)
-    if comp.shape != (2, 2, 2):
+    comp = np.asarray(h, dtype=float)
+    if comp.shape[-3:] != (2, 2, 2):
         raise BadDims("specialize requires (n, k) = (2, 2), got shape %s" % (comp.shape,))
-    amats = np.moveaxis(comp, -1, 0)  # (k, n, n)
-    mean = np.einsum("aii->a", amats)
-    h_norm = float(np.linalg.norm(mean))
-
-    if h_norm > H_ZERO_TOL:
-        u = mean / h_norm
-    else:
-        u = _fallback_direction(amats)
+    amats = np.moveaxis(comp, -1, -3)  # (..., k, n, n)
+    _, h_norm, u = _first_normal(amats)
     # proper rotation sending the input normal frame to (nu1, nu2)
-    nrot = np.array([[u[0], u[1]], [-u[1], u[0]]])
-    aprime = np.einsum("ab,bij->aij", nrot, amats)
+    nrot = np.empty(u.shape + (2,))
+    nrot[..., 0, :] = u
+    nrot[..., 1, 0] = -u[..., 1]
+    nrot[..., 1, 1] = u[..., 0]
+    aprime = np.einsum("...ab,...bij->...aij", nrot, amats)
 
-    evals, evecs = np.linalg.eigh(aprime[0])
-    # descending eigenvalue order gives the nonnegative gap; keep det = +1
-    trot = np.stack([evecs[:, 1], evecs[:, 0]])
-    if np.linalg.det(trot) < 0:
-        trot = np.stack([evecs[:, 1], -evecs[:, 0]])
-    a1 = trot @ aprime[0] @ trot.T
-    a2 = trot @ aprime[1] @ trot.T
+    _, evecs = np.linalg.eigh(aprime[..., 0, :, :])
+    # rows of the tangent rotation: descending eigenvalue order gives the
+    # nonnegative gap a; the second row is flipped where needed for det = +1
+    e1, e2 = evecs[..., :, 1], evecs[..., :, 0]
+    flip = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0] < 0
+    e2 = np.where(flip[..., None], -e2, e2)
 
-    a = 0.5 * (a1[0, 0] - a1[1, 1])
-    b = a2[0, 0]
-    c = a2[0, 1]
+    def form(x, alpha, y):  # x . A'_alpha . y
+        return np.einsum("...i,...ij,...j->...", x, aprime[..., alpha, :, :], y)
+
     return ABCFrame(
-        a=float(a),
-        b=float(b),
-        c=float(c),
+        a=0.5 * (form(e1, 0, e1) - form(e2, 0, e2)),
+        b=form(e1, 1, e1),
+        c=form(e1, 1, e2),
         h_norm=h_norm,
-        tangent_rotation=trot,
+        tangent_rotation=np.stack([e1, e2], axis=-2),
         normal_rotation=nrot,
     )
 
 
 def reconstruct(frame: ABCFrame) -> np.ndarray:
-    """Rebuild h (in the original input frames) from an ABCFrame."""
+    """Rebuild h (in the original input frames) from an ABCFrame, batched."""
     half = 0.5 * frame.h_norm
-    a1 = np.array([[half + frame.a, 0.0], [0.0, half - frame.a]])
-    a2 = np.array([[frame.b, frame.c], [frame.c, -frame.b]])
-    trot = frame.tangent_rotation
-    nrot = frame.normal_rotation
-    ap = np.stack([trot.T @ a1 @ trot, trot.T @ a2 @ trot])
-    amats = np.einsum("ab,aij->bij", nrot, ap)
-    return np.moveaxis(amats, 0, -1)
+    canon = np.zeros(np.shape(frame.h_norm) + (2, 2, 2))  # (..., normal, i, j)
+    canon[..., 0, 0, 0] = half + frame.a
+    canon[..., 0, 1, 1] = half - frame.a
+    canon[..., 1, 0, 0] = frame.b
+    canon[..., 1, 1, 1] = -frame.b
+    canon[..., 1, 0, 1] = frame.c
+    canon[..., 1, 1, 0] = frame.c
+    trot = frame.tangent_rotation[..., None, :, :]
+    ap = np.swapaxes(trot, -1, -2) @ canon @ trot
+    amats = np.einsum("...ab,...aij->...bij", frame.normal_rotation, ap)
+    return np.moveaxis(amats, -3, -1)
 
 
 def split_traceless(h) -> TracelessSplit:
@@ -147,15 +158,10 @@ def split_traceless(h) -> TracelessSplit:
     fallback rule as specialize, so the two operations stay consistent on
     minimal surfaces.
     """
-    comp = _components(h)
+    comp = np.asarray(h, dtype=float)
     n = comp.shape[0]
     amats = np.moveaxis(comp, -1, 0)
-    mean = np.einsum("aii->a", amats)
-    h_norm = float(np.linalg.norm(mean))
-    if h_norm > H_ZERO_TOL:
-        u = mean / h_norm
-    else:
-        u = _fallback_direction(amats)
+    mean, _, u = _first_normal(amats)
     a_nu1 = np.einsum("a,aij->ij", u, amats)
     tracefree = a_nu1 - (np.trace(a_nu1) / n) * np.eye(n)
     norm_a1 = float(np.einsum("ij,ij->", tracefree, tracefree))

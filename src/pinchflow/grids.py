@@ -65,11 +65,14 @@ class GridSurface:
         return GridSurface(self.topology, self.nu, self.nv, samples, dict(self.meta))
 
 
-def _extend_sphere_u(samples: np.ndarray, pad: int) -> np.ndarray:
-    """Append ghost rows beyond both poles via F(-u, v) = F(u, v + pi).
+def _padded(samples: np.ndarray, topology: str) -> np.ndarray:
+    """Samples with two ghost nodes on each side of both chart axes.
 
-    Extended row e corresponds to chart row e - pad; the ghost values are
-    exact samples of the same smooth surface, not extrapolations.
+    Component-major layout: samples is (ambient_dim, nu, nv) and the result
+    (ambient_dim, nu + 4, nv + 4), padded node (e, f) holding chart node
+    (e - 2, f - 2).  v is periodic; u is periodic on the torus, and on the
+    sphere the ghost rows beyond both poles come from F(-u, v) = F(u, v + pi):
+    they are exact samples of the same smooth surface, not extrapolations.
 
     The stored pole rows themselves are NOT trusted as stencil nodes: a
     pole row holds a single point whatever refresh policy maintains it, and
@@ -79,85 +82,97 @@ def _extend_sphere_u(samples: np.ndarray, pad: int) -> np.ndarray:
     interpolation through the same across-pole identification, e.g.
         F(0, v) ~ (15 A1 - 6 A2 + A3) / 20,  Aj = F(uj, v) + F(uj, v+pi).
     """
-    nu, nv = samples.shape[:2]
-    half = nv // 2
-    top = [np.roll(samples[g], half, axis=0) for g in range(pad, 0, -1)]
-    bot = [np.roll(samples[nu - 1 - g], half, axis=0) for g in range(1, pad + 1)]
-    ext = np.concatenate([np.stack(top), samples, np.stack(bot)], axis=0)
+    d, nu, nv = samples.shape
+    rows = np.arange(-2, nu + 2)
+    cols = np.arange(-2, nv + 2)
+    if topology == "torus":
+        src_rows, shift = rows % nu, 0
+    else:
+        half = nv // 2
+        beyond = (rows < 0) | (rows > nu - 1)
+        src_rows = np.where(rows < 0, -rows, np.where(rows > nu - 1, 2 * (nu - 1) - rows, rows))
+        shift = half * beyond[:, None]
+    flat = src_rows[:, None] * nv + (cols + shift) % nv
+    ext = np.take(samples.reshape(d, nu * nv), flat, axis=1)
+    if topology == "torus":
+        return ext
 
     def across(row):
-        return row + np.roll(row, half, axis=0)
+        return row + np.roll(row, half, axis=-1)
 
-    north = (15.0 * across(samples[1]) - 6.0 * across(samples[2])
-             + across(samples[3])) / 20.0
-    south = (15.0 * across(samples[nu - 2]) - 6.0 * across(samples[nu - 3])
-             + across(samples[nu - 4])) / 20.0
-    ext[pad] = north / np.linalg.norm(north, axis=-1, keepdims=True)
-    ext[pad + nu - 1] = south / np.linalg.norm(south, axis=-1, keepdims=True)
+    for node, (r1, r2, r3) in ((2, (1, 2, 3)), (nu + 1, (nu - 2, nu - 3, nu - 4))):
+        pole = (15.0 * across(samples[:, r1]) - 6.0 * across(samples[:, r2])
+                + across(samples[:, r3])) / 20.0
+        ext[:, node] = (pole / np.linalg.norm(pole, axis=0, keepdims=True))[:, cols % nv]
     return ext
 
 
-def _shift(arr: np.ndarray, off: int, axis: int) -> np.ndarray:
-    return np.roll(arr, -off, axis=axis)
+def _d1(ext: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """First derivative along a (+2/-2)-padded axis, one value per node.
+
+    The stencils fill their output in place (in the order of the plain
+    expression, so the values are bit-for-bit the same): on the flow's hot
+    path each fresh full-size temporary costs page faults as well as a pass.
+    """
+    e = np.moveaxis(ext, axis, 0)
+    if out is None:
+        shape = list(ext.shape)
+        shape[axis] -= 4
+        out = np.empty(shape)
+    d = np.moveaxis(out, axis, 0)
+    # (-e[4:] + 8 e[3:-1] - 8 e[1:-3] + e[:-4]) / 12h
+    np.multiply(e[3:-1], 8.0, out=d)
+    d -= e[4:]
+    d -= 8.0 * e[1:-3]
+    d += e[:-4]
+    d /= 12.0 * h
+    return out
 
 
-def _d1_periodic(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (
-        -_shift(arr, 2, axis) + 8.0 * _shift(arr, 1, axis)
-        - 8.0 * _shift(arr, -1, axis) + _shift(arr, -2, axis)
-    ) / (12.0 * h)
+def _d2(ext: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
+    e = np.moveaxis(ext, axis, 0)
+    d = np.moveaxis(out, axis, 0)
+    # (-e[4:] + 16 e[3:-1] - 30 e[2:-2] + 16 e[1:-3] - e[:-4]) / 12h^2
+    np.multiply(e[3:-1], 16.0, out=d)
+    d -= e[4:]
+    d -= 30.0 * e[2:-2]
+    d += 16.0 * e[1:-3]
+    d -= e[:-4]
+    d /= 12.0 * h * h
+    return out
 
 
-def _d2_periodic(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (
-        -_shift(arr, 2, axis) + 16.0 * _shift(arr, 1, axis) - 30.0 * arr
-        + 16.0 * _shift(arr, -1, axis) - _shift(arr, -2, axis)
-    ) / (12.0 * h * h)
-
-
-def _d1_rows(ext: np.ndarray, h: float) -> np.ndarray:
-    """First u-derivative of a (+2/-2)-padded array, one value per chart row."""
-    return (-ext[4:] + 8.0 * ext[3:-1] - 8.0 * ext[1:-3] + ext[:-4]) / (12.0 * h)
-
-
-def _d2_rows(ext: np.ndarray, h: float) -> np.ndarray:
-    return (
-        -ext[4:] + 16.0 * ext[3:-1] - 30.0 * ext[2:-2] + 16.0 * ext[1:-3] - ext[:-4]
-    ) / (12.0 * h * h)
-
-
-def batch_jets(surface: GridSurface):
+def batch_jets(surface: GridSurface, components_first: bool = False):
     """Finite-difference jets on all jet-valid rows.
 
     Returns (position, first, second) with shapes (r, nv, d), (r, nv, 2, d),
-    (r, nv, 2, 2, d) where r = number of valid rows.
+    (r, nv, 2, 2, d) where r = number of valid rows.  With components_first
+    the same values come in component-major layout, (d, r, nv),
+    (2, d, r, nv) and (2, 2, d, r, nv): the flow's hot loop takes its dot
+    products over whole (r, nv) planes.
     """
-    s = surface.samples
-    du, dv = surface.du, surface.dv
-    if surface.topology == "torus":
-        pos = s
-        fu = _d1_periodic(s, 0, du)
-        fv = _d1_periodic(s, 1, dv)
-        fuu = _d2_periodic(s, 0, du)
-        fvv = _d2_periodic(s, 1, dv)
-        fuv = _d1_periodic(fv, 0, du)
-    else:
-        sel = slice(1, surface.nu - 1)
-        ext = _extend_sphere_u(s, 2)
-        pos = s[sel]
-        fu = _d1_rows(ext, du)[sel]
-        fuu = _d2_rows(ext, du)[sel]
-        fuv = _d1_rows(_d1_periodic(ext, 1, dv), du)[sel]
-        fv = _d1_periodic(s, 1, dv)[sel]
-        fvv = _d2_periodic(s, 1, dv)[sel]
-
-    first = np.stack([fu, fv], axis=2)
-    second = np.empty(pos.shape[:2] + (2, 2) + pos.shape[2:])
-    second[:, :, 0, 0] = fuu
-    second[:, :, 0, 1] = fuv
-    second[:, :, 1, 0] = fuv
-    second[:, :, 1, 1] = fvv
-    return pos, first, second
+    s = np.moveaxis(surface.samples, -1, 0)
+    rows = surface.valid_rows
+    r0, r1 = rows.start, rows.stop
+    euv = _padded(s, surface.topology)
+    eu = euv[:, r0:r1 + 4, 2:-2]   # returned rows with 2 u-ghosts either side
+    ev = euv[:, r0 + 2:r1 + 2]     # returned rows, v-padded
+    # the whole jet (pos, fu, fv, fuu, fuv, fvu, fvv) in one allocation: a
+    # few large blocks per flow step, rather than many, keep the allocator
+    # from handing memory back and page-faulting it in again every step
+    block = np.empty((7,) + s[:, rows].shape)
+    pos, first, second = block[0], block[1:3], block[3:].reshape((2, 2) + block.shape[1:])
+    pos[...] = s[:, rows]
+    _d1(eu, 1, surface.du, first[0])
+    _d1(ev, 2, surface.dv, first[1])
+    _d2(eu, 1, surface.du, second[0, 0])
+    _d1(_d1(euv[:, r0:r1 + 4], 2, surface.dv), 1, surface.du, second[0, 1])
+    second[1, 0] = second[0, 1]
+    _d2(ev, 2, surface.dv, second[1, 1])
+    if components_first:
+        return pos, first, second
+    return tuple(np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
+                 for x in (pos, first, second))
 
 
 def discrete_jet(surface: GridSurface, i: int, j: int) -> Jet2:

@@ -24,15 +24,9 @@ import numpy as np
 
 from .errors import BadDims, InsufficientStencil
 from .frames import specialize
-from .tensor_kernel import BatchGeometry, SecondFundamentalForm
+from .tensor_kernel import BatchGeometry
 
 _PERP = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def _components(h) -> np.ndarray:
-    if isinstance(h, SecondFundamentalForm):
-        return h.components
-    return np.asarray(h, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +91,15 @@ class ReactionTerms:
     rm_perp_2: float
 
 
-def reaction_terms(h, kbar: float = 1.0) -> ReactionTerms:
+def reaction_terms(h) -> ReactionTerms:
     """Evaluate the reaction-term catalog at a single h.
 
     The catalogued terms are pure contractions of h and do not involve the
-    background curvature; kbar is accepted to mirror the sibling evolution
-    assemblies, which do use it.  r3 and z_closed are populated only for
+    background curvature.  r3 and z_closed are populated only for
     (n, k) = (2, 2); r3 is the Kperp reaction that kperp_checks' brute
     route computes, without its background-curvature term.
     """
-    comp = _components(h)
+    comp = np.asarray(h, dtype=float)
     n, k = comp.shape[0], comp.shape[2]
     r1 = float(r1_batch(comp))
     r2 = float(r2_batch(comp))
@@ -124,32 +117,44 @@ def reaction_terms(h, kbar: float = 1.0) -> ReactionTerms:
 
 @dataclass
 class KperpChecks:
-    reaction_brute: float
-    reaction_closed: float
-    reaction_printed: float
-    laplacian_factor: float
-    li_li_margin: float
+    """Normal-curvature reaction routes, batched like the input h."""
+
+    reaction_brute: np.ndarray
+    reaction_closed: np.ndarray
+    reaction_printed: np.ndarray
+    laplacian_factor: np.ndarray
+    li_li_margin: np.ndarray
 
 
-def _quartic_reaction_matrices(amats: np.ndarray) -> np.ndarray:
-    """The bracketed quartic sums of the normal-curvature evolution, one
-    n x n matrix per normal direction:
+def _quartic_reaction(amats: np.ndarray) -> np.ndarray:
+    """Quartic part of the Kperp reaction, batched over amats (..., k, n, n).
+
+    The bracketed quartic sums of the normal-curvature evolution, one
+    n x n matrix per normal direction,
 
         R_a = sum_b S_{ab} A_b + P A_a + A_a P - 2 sum_b A_b A_a A_b,
-        P   = sum_b A_b A_b.
+        P   = sum_b A_b A_b,
+
+    paired with h through the product rule for the Rperp component.
     """
-    s = np.einsum("aij,bij->ab", amats, amats)
-    p = np.einsum("aip,apj->ij", amats, amats)
-    return (
-        np.einsum("ab,bij->aij", s, amats)
-        + np.einsum("ip,apj->aij", p, amats)
-        + np.einsum("aip,pj->aij", amats, p)
-        - 2.0 * np.einsum("bip,apq,bqj->aij", amats, amats, amats)
+    s = np.einsum("...aij,...bij->...ab", amats, amats)
+    p = np.einsum("...aip,...apj->...ij", amats, amats)
+    rmats = (
+        np.einsum("...ab,...bij->...aij", s, amats)
+        + np.einsum("...ip,...apj->...aij", p, amats)
+        + np.einsum("...aip,...pj->...aij", amats, p)
+        - 2.0 * np.einsum("...bip,...apq,...bqj->...aij", amats, amats, amats)
     )
+    a1, a2 = amats[..., 0, :, :], amats[..., 1, :, :]
+    r1m, r2m = rmats[..., 0, :, :], rmats[..., 1, :, :]
+    return np.sum(r1m[..., 0, :] * a2[..., 1, :] + a1[..., 0, :] * r2m[..., 1, :]
+                  - r1m[..., 1, :] * a2[..., 0, :] - a1[..., 1, :] * r2m[..., 0, :],
+                  axis=-1)
 
 
 def kperp_checks(h, kbar: float = 1.0) -> KperpChecks:
-    """Dual-route evaluation of the normal-curvature reaction, (n,k) = (2,2).
+    """Dual-route evaluation of the normal-curvature reaction, (n,k) = (2,2),
+    for h of shape (..., 2, 2, 2).
 
     reaction_brute pairs the quartic evolution sums with h through the
     product rule for the Rperp component.  The background-curvature terms
@@ -163,31 +168,23 @@ def kperp_checks(h, kbar: float = 1.0) -> KperpChecks:
     while the brute route is quartic.  brute - printed = 2*Kperp*b^2
     exactly, which keeps the discrepancy measurable instead of hidden.
     """
-    comp = _components(h)
-    if comp.shape != (2, 2, 2):
+    comp = np.asarray(h, dtype=float)
+    if comp.shape[-3:] != (2, 2, 2):
         raise BadDims("kperp_checks requires (n, k) = (2, 2)")
-    amats = np.moveaxis(comp, -1, 0)
-    rmats = _quartic_reaction_matrices(amats)
-    a1, a2 = amats[0], amats[1]
-    r1m, r2m = rmats[0], rmats[1]
-    quartic = float(
-        np.sum(r1m[0] * a2[1] + a1[0] * r2m[1] - r1m[1] * a2[0] - a1[1] * r2m[0])
-    )
-    kp = float(kperp_scalar(comp))
+    normA2, normH2, traceless = norms_batch(comp)
+    li_li = 1.5 * traceless * traceless - r1_batch(comp)
+    kp = kperp_scalar(comp)
     background = -4.0 * kbar * kp
-    brute = quartic + background
-
-    normA2, normH2, traceless = (float(v) for v in norms_batch(comp))
-    frame = specialize(comp)
+    brute = _quartic_reaction(np.moveaxis(comp, -1, -3)) + background
     closed = kp * (normA2 + 2.0 * traceless) + background
+    frame = specialize(comp)
     printed = kp * (normA2 + 2.0 * traceless - 2.0 * frame.b ** 2) + background
     lap = 2.0 - frame.b ** 2 - 3.0 * frame.a ** 2 - 3.0 * frame.c ** 2
-    li_li = 1.5 * traceless * traceless - float(r1_batch(comp))
     return KperpChecks(
         reaction_brute=brute,
-        reaction_closed=float(closed),
-        reaction_printed=float(printed),
-        laplacian_factor=float(lap),
+        reaction_closed=closed,
+        reaction_printed=printed,
+        laplacian_factor=lap,
         li_li_margin=li_li,
     )
 

@@ -30,10 +30,11 @@ import numpy as np
 
 from .errors import BadDims, BadParams, EmptyFeasibleSet
 from .identities import kperp_scalar, norms_batch, r1_batch, r2_batch, reaction_terms
-from .tensor_kernel import SecondFundamentalForm
 
 SUP_SIGN_TOL = 1e-9      # "sup is positive" threshold for bisection
 BRACKET_WIDTH = 1e-4
+REFINE_FACTOR = 4        # lattice spacing shrink per refinement round
+CRITICAL_MAX_RES = 64    # lattice resolution cap of the critical-constant search
 
 
 def thread_count() -> int:
@@ -134,7 +135,7 @@ def q_from_invariants(normA2, normH2, kperp, params: ConeParams):
 
 
 def q_value(g, params: ConeParams):
-    """Q at a PointGeometry/BatchGeometry; negative means inside the cone."""
+    """Q at a BatchGeometry; negative means inside the cone."""
     kp = g.kperp if params.variant == "thm2" else None
     return q_from_invariants(g.normA2, g.normH2, kp, params)
 
@@ -150,7 +151,7 @@ def reaction_of_Q(h, params: ConeParams) -> float:
     The last term is 2 gamma sign(Kperp) times the -4 kbar Kperp that the
     background curvature adds to the Kperp reaction (see kperp_checks).
     """
-    comp = h.components if isinstance(h, SecondFundamentalForm) else np.asarray(h, float)
+    comp = np.asarray(h, float)
     if comp.ndim != 3 or comp.shape[0] != comp.shape[1]:
         raise BadDims("expected a single (n, n, k) array of components")
     n = comp.shape[0]
@@ -270,14 +271,13 @@ class SweepGrid:
 
     resolution^3 lattice evaluations at the base level (resolution for the
     one-dimensional hzero stratum), then `refine_rounds` local refinements
-    shrinking the lattice spacing by `refine_factor` around the incumbent
+    shrinking the lattice spacing by REFINE_FACTOR around the incumbent
     argmax.  stratum "full" sweeps the whole Q = 0 slice; "hzero" (thm1
     only) restricts to |H| = 0, where the beta boundary lives.
     """
 
     resolution: int = 200
     refine_rounds: int = 3
-    refine_factor: int = 4
     chunk: int = 131072
     stratum: str = "full"
     bisect: bool = True
@@ -287,7 +287,7 @@ class SweepGrid:
             raise BadParams("resolution must be at least 2")
         if self.stratum not in ("full", "hzero"):
             raise BadParams("stratum must be 'full' or 'hzero'")
-        if self.chunk < 1 or self.refine_factor < 2 or self.refine_rounds < 0:
+        if self.chunk < 1 or self.refine_rounds < 0:
             raise BadParams("bad sweep grid settings")
 
 
@@ -458,7 +458,7 @@ def _refine(params, grid, best, best_cfg):
     spacing = 1.0 / grid.resolution
     extra = 0
     for _ in range(grid.refine_rounds):
-        axes = [np.linspace(co - spacing, co + spacing, 2 * grid.refine_factor + 1)
+        axes = [np.linspace(co - spacing, co + spacing, 2 * REFINE_FACTOR + 1)
                 for co in center]
         mesh = np.meshgrid(*axes, indexing="ij")
         coords = tuple(m.reshape(-1) for m in mesh)
@@ -469,7 +469,7 @@ def _refine(params, grid, best, best_cfg):
             best = float(vals[pos])
             best_cfg = {k: float(v[pos]) for k, v in cfg.items()}
             center = _free_coords(params, stratum, best_cfg)
-        spacing /= grid.refine_factor
+        spacing /= REFINE_FACTOR
     return best, best_cfg, extra
 
 
@@ -504,7 +504,7 @@ def _critical_constant(params, grid):
     """Scan the cone constant, bracket every sign change of the sweep sup,
     and bisect the first bracket down to BRACKET_WIDTH."""
     stratum = grid.stratum
-    res = min(grid.resolution, 64)
+    res = min(grid.resolution, CRITICAL_MAX_RES)
     chunk = grid.chunk
     values = _scan_range(params, stratum)
     notes = []
@@ -531,10 +531,13 @@ def _critical_constant(params, grid):
             lo = mid
         else:
             hi = mid
+    notes.append("bracket_width %.3e is the bisection width on a resolution-%d "
+                 "lattice (min(resolution, %d)); it excludes the lattice error"
+                 % (hi - lo, res, CRITICAL_MAX_RES))
     return 0.5 * (lo + hi), hi - lo, notes
 
 
-def reaction_sweep(params: ConeParams, grid: SweepGrid | dict | int | None = None) -> SweepReport:
+def reaction_sweep(params: ConeParams, grid: SweepGrid | None = None) -> SweepReport:
     """Supremum of reaction_of_Q over the compactified Q = 0 slice.
 
     params.kbar is ignored: the background curvature is a slice coordinate
@@ -544,14 +547,11 @@ def reaction_sweep(params: ConeParams, grid: SweepGrid | dict | int | None = Non
     """
     if grid is None:
         grid = SweepGrid()
-    elif isinstance(grid, int):
-        grid = SweepGrid(resolution=grid)
-    elif isinstance(grid, dict):
-        grid = SweepGrid(**grid)
     if grid.stratum == "hzero" and params.variant != "thm1":
         raise BadParams("the |H| = 0 stratum sweep is a thm1 construction")
 
     best, best_cfg, samples, printed_sup = _run_base_sweep(params, grid)
+    base_best = best
     if best_cfg is None:
         raise EmptyFeasibleSet("no feasible configuration on the Q = 0 slice")
     if grid.refine_rounds > 0:
@@ -568,7 +568,8 @@ def reaction_sweep(params: ConeParams, grid: SweepGrid | dict | int | None = Non
         else "sup > 0 (negativity claim FAILS on this slice)"
     notes.append("measured sup = %.6e: %s" % (sup, claim))
     if params.variant == "thm2":
-        notes.append("printed-R3 variant sup = %.6e" % printed_sup)
+        notes.append("base-lattice max (before refinement): reaction %.6e, "
+                     "printed-R3 variant %.6e" % (base_best, printed_sup))
 
     critical = width = None
     if grid.bisect:

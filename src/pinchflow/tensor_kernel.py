@@ -10,8 +10,8 @@ Background curvature other than 1 is handled by exact rescaling (lengths
 scale by 1/sqrt(kbar), squared curvatures by kbar); there is no second code
 path for non-unit spheres.
 
-The batch variant operates on arrays with arbitrary leading shape and is the
-workhorse of the flow engine and the parameter sweeps.
+batch_geometry operates on arrays with arbitrary leading shape; a single jet
+is the case of an empty batch shape.
 """
 
 from __future__ import annotations
@@ -46,14 +46,6 @@ class Jet2:
         self.first_derivs = np.asarray(self.first_derivs, dtype=float)
         self.second_derivs = np.asarray(self.second_derivs, dtype=float)
 
-    @property
-    def n(self) -> int:
-        return self.first_derivs.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.position.shape[0]
-
     def validate(self):
         if abs(np.linalg.norm(self.position) - 1.0) > SPHERE_TOL:
             raise OffSphere(
@@ -68,57 +60,15 @@ class Jet2:
 
 
 @dataclass
-class SecondFundamentalForm:
-    """h_{ij alpha} in orthonormal tangent/normal frames, shape (n, n, k)."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=float)
-
-    @property
-    def n(self) -> int:
-        return self.components.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.components.shape[2]
-
-    @property
-    def mean_curvature(self) -> np.ndarray:
-        """H_alpha = trace of h over the tangent slots."""
-        return np.einsum("iia->a", self.components)
-
-
-@dataclass
-class PointGeometry:
-    """Full pointwise curvature package at a single jet."""
-
-    metric: np.ndarray
-    metric_inv: np.ndarray
-    tangent_frame: np.ndarray
-    normal_frame: np.ndarray
-    chart_coeff: np.ndarray
-    sff: SecondFundamentalForm
-    mean_curvature: np.ndarray
-    normA2: float
-    normH2: float
-    normTracelessA2: float
-    kperp: float | None
-    gauss: float | None
-    kbar: float
-
-
-@dataclass
 class BatchGeometry:
-    """Vectorized PointGeometry over an arbitrary batch shape.
+    """Extrinsic geometry of jets over an arbitrary batch shape.
 
-    All arrays share the leading batch shape; `kperp`/`gauss` are None
-    when (n, k) != (2, 2) / n != 2 respectively.
+    All arrays share the leading batch shape, which is empty for a single
+    jet; `kperp`/`gauss` are None when (n, k) != (2, 2) / n != 2
+    respectively.
     """
 
     metric: np.ndarray
-    metric_inv: np.ndarray
     tangent: np.ndarray
     normal: np.ndarray
     chart_coeff: np.ndarray
@@ -248,7 +198,6 @@ def batch_geometry(position, first, second, kbar: float = 1.0) -> BatchGeometry:
 
     return BatchGeometry(
         metric=gram,
-        metric_inv=np.linalg.inv(gram),
         tangent=tangent,
         normal=normal,
         chart_coeff=coeff,
@@ -263,22 +212,7 @@ def batch_geometry(position, first, second, kbar: float = 1.0) -> BatchGeometry:
     )
 
 
-def point_geometry(jet: Jet2, kbar: float = 1.0) -> PointGeometry:
-    """Scalar wrapper around batch_geometry for a single jet."""
+def point_geometry(jet: Jet2, kbar: float = 1.0) -> BatchGeometry:
+    """Validate a single jet and return its geometry (empty batch shape)."""
     jet.validate()
-    bg = batch_geometry(jet.position, jet.first_derivs, jet.second_derivs, kbar=kbar)
-    return PointGeometry(
-        metric=bg.metric,
-        metric_inv=bg.metric_inv,
-        tangent_frame=bg.tangent,
-        normal_frame=bg.normal,
-        chart_coeff=bg.chart_coeff,
-        sff=SecondFundamentalForm(bg.h),
-        mean_curvature=bg.mean,
-        normA2=float(bg.normA2),
-        normH2=float(bg.normH2),
-        normTracelessA2=float(bg.normTracelessA2),
-        kperp=None if bg.kperp is None else float(bg.kperp),
-        gauss=None if bg.gauss is None else float(bg.gauss),
-        kbar=kbar,
-    )
+    return batch_geometry(jet.position, jet.first_derivs, jet.second_derivs, kbar=kbar)

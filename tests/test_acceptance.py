@@ -115,7 +115,7 @@ def test_criterion_04_canonical_invariants():
         worst = max(worst, cls_err)
     # Veronese Laplacian factor 2 - b^2 - 3a^2 - 3c^2 (orthonormal-frame sff)
     geom = point_geometry(make_surface("veronese").jet_at(0.9, 1.3), kbar=1.0)
-    lap = kperp_checks(geom.sff, kbar=1.0).laplacian_factor
+    lap = kperp_checks(geom.h, kbar=1.0).laplacian_factor
     worst = max(worst, abs(lap))
     ok = worst <= 1e-9
     _report(4, "canonical-invariants", ok, "worst |diff| %.2e" % worst)

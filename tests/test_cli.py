@@ -91,6 +91,8 @@ def test_sweep_thm2_reports_failure(tmp_path):
     rep = read_json(tmp_path / "sweep_thm2_full.json")["report"]
     assert rep["sup_value"] > 0.0
     assert any("FAILS" in note for note in rep["notes"])
+    assert any(note.startswith("base-lattice max") and "printed-R3 variant" in note
+               for note in rep["notes"])
 
 
 def test_flow_artifacts(tmp_path):
@@ -129,3 +131,13 @@ def test_report_digest(tmp_path, capsys):
     text = (tmp_path / "report.txt").read_text()
     assert "all_pass=True" in text
     assert "sup=" in text
+
+
+def test_report_flags_unreadable_artifact(tmp_path, capsys):
+    assert main(["verify", "--trials", "50", "--output-dir", str(tmp_path)]) == 0
+    text = (tmp_path / "verify.json").read_text()
+    (tmp_path / "verify.json").write_text(text[: len(text) // 2])
+    capsys.readouterr()
+    rc = main(["report", "--output-dir", str(tmp_path)])
+    assert rc == 1
+    assert "verify.json: unreadable (" in (tmp_path / "report.txt").read_text()

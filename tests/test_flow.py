@@ -54,7 +54,7 @@ def test_velocity_magnitude_geodesic_sphere():
 def test_step_equator_is_fixed_point():
     grid = geodesic_grid(np.pi / 2, 32, 64)
     state = FlowState(0.0, 0, grid.copy_with(grid.samples.copy()), 0.0)
-    out = step(state, "euler", 0.2, 1e6, 0.75)
+    out = step(state, "euler", 0.2, 1e6)
     assert np.abs(out.surface.samples - grid.samples).max() <= 1e-8
     assert out.step_index == 1
     # a2_max = 0 on the equator, so the max(1, .) floor kicks in
@@ -64,7 +64,7 @@ def test_step_equator_is_fixed_point():
 def test_step_dt_formula():
     grid = geodesic_grid(np.pi / 3, 64, 128)
     state = FlowState(0.0, 0, grid.copy_with(grid.samples.copy()), 0.0)
-    out = step(state, "euler", 0.2, 1e6, 0.75)
+    out = step(state, "euler", 0.2, 1e6)
     # a2_max = 2/3 < 1 for this cap, floor again active
     assert out.dt_last == 0.2 * min(grid.du, grid.dv) ** 2
     assert out.t == out.dt_last
@@ -84,6 +84,17 @@ def test_run_tracks_shrinking_sphere_radius():
     assert abs(r_last - sphere_ode_oracle(np.pi / 3, 2, t_last)) < 1e-3
 
 
+def test_rk2_tracks_sphere_ode_better_than_euler():
+    grid = geodesic_grid(np.pi / 3, 32, 64)
+    errs = {}
+    for scheme in ("rk2", "euler"):
+        res = run(grid, FlowConfig(scheme=scheme, t_max=0.1, stride=25))
+        errs[scheme] = max(abs(r - sphere_ode_oracle(np.pi / 3, 2, t))
+                           for t, r in res.radius_trajectory)
+    assert errs["rk2"] < 1e-6
+    assert errs["rk2"] < errs["euler"]
+
+
 def test_run_cfl_too_large_blows_up():
     grid = geodesic_grid(np.pi / 3, 32, 64)
     res = run(grid, FlowConfig(t_max=1.0, cfl=10.0))
@@ -98,6 +109,13 @@ def test_monitor_without_cone():
     assert abs(rec.ratio_max - 0.5) < 1e-9  # |A|^2/|H|^2 on any round cap
     assert abs(rec.kperp_min) < 1e-9 and abs(rec.kperp_max) < 1e-9
     assert rec.harnack_violations == 0
+    assert rec.area > 0.0
+
+
+def test_monitor_grad_ratio_nan_without_stencil():
+    # 4 rows leave 2 jet rows between the poles: too few for central differences
+    rec = monitor(geodesic_grid(np.pi / 3, 4, 8), FlowConfig(), 0.0)
+    assert np.isnan(rec.grad_ratio)
     assert rec.area > 0.0
 
 

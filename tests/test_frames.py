@@ -5,7 +5,7 @@ import pytest
 
 from pinchflow.errors import BadDims
 from pinchflow.frames import reconstruct, specialize, split_traceless
-from pinchflow.identities import kperp_scalar, norms_batch
+from pinchflow.identities import kperp_checks, kperp_scalar, norms_batch
 
 
 def special_example():
@@ -93,6 +93,33 @@ def test_h_zero_fallback_veronese_type():
     assert abs(fr.b) < 1e-10
     assert abs(abs(fr.c) - r) < 1e-10
     assert abs(abs(kperp_scalar(h)) - 2.0 / 3.0) < 1e-12
+
+
+def test_batched_stack_matches_rows():
+    """A (N, 2, 2, 2) stack gives the per-row frames, rebuilds and checks."""
+    rng = np.random.default_rng(2026)
+    h = random_h(rng, 1200)
+    r = 1.0 / np.sqrt(3.0)
+    h[:3] = 0.0                                     # zero form
+    h[1, :, :, 0] = np.diag([1.0, -1.0])            # H = 0, tied eigenvalues
+    h[2, :, :, 0] = np.diag([r, -r])                # Veronese type, H = 0
+    h[2, :, :, 1] = np.array([[0.0, r], [r, 0.0]])
+    fr = specialize(h)
+    back = reconstruct(fr)
+    chk = kperp_checks(h, kbar=0.7)
+    for i, row in enumerate(h):
+        one = specialize(row)
+        for name in ("a", "b", "c", "h_norm", "tangent_rotation", "normal_rotation"):
+            assert np.abs(getattr(fr, name)[i] - getattr(one, name)).max() <= 1e-14
+        assert np.abs(back[i] - reconstruct(one)).max() <= 1e-14
+        ref = kperp_checks(row, kbar=0.7)
+        for name in ("reaction_brute", "reaction_closed", "reaction_printed",
+                     "laplacian_factor", "li_li_margin"):
+            want = getattr(ref, name)
+            assert abs(getattr(chk, name)[i] - want) <= 1e-14 * (1.0 + abs(want))
+    assert fr.h_norm[0] == 0.0 and abs(fr.a[1] - 1.0) < 1e-12 and abs(fr.a[2] - r) < 1e-10
+    with pytest.raises(BadDims):
+        specialize(np.zeros((1200, 3, 3, 2)))
 
 
 def test_split_traceless_flat_torus_values():

@@ -85,3 +85,15 @@ def test_grid_spacing_metadata():
     tor = sample_grid(make_surface("clifford"), 16, 20)
     assert abs(tor.du - 2 * np.pi / 16) < 1e-15
     assert abs(tor.dv - 2 * np.pi / 20) < 1e-15
+
+
+def test_components_first_is_the_same_jet():
+    # the flow stepper's component-major jets hold exactly the point-major values
+    for grid in (sample_grid(make_surface("veronese"), 16, 24),
+                 sample_grid(make_surface("flat-torus"), 12, 20)):
+        pm = batch_jets(grid)
+        cm = batch_jets(grid, components_first=True)
+        assert cm[0].shape == (5,) + pm[0].shape[:2]
+        assert np.array_equal(np.moveaxis(cm[0], 0, -1), pm[0])
+        assert np.array_equal(np.moveaxis(cm[1], (0, 1), (-2, -1)), pm[1])
+        assert np.array_equal(np.moveaxis(cm[2], (0, 1, 2), (-3, -2, -1)), pm[2])

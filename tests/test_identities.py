@@ -76,7 +76,7 @@ def r2_loop(h):
 
 
 def test_reaction_terms_frozen_example():
-    rt = reaction_terms(special_example(), kbar=1.0)
+    rt = reaction_terms(special_example())
     assert abs(rt.r1 - 32.8056) < 1e-10
     assert abs(rt.r2 - 49.32) < 1e-10
     # Kperp (|A|^2 + 2|Ao|^2) at Kperp = 0.7, |A|^2 = 6.16, |Ao|^2 = 1.66
@@ -103,7 +103,7 @@ def test_reaction_terms_match_loop_oracles():
 
 def test_veronese_simons_balance():
     # minimal case: Z + 2 kbar |Ao|^2 vanishes on the Veronese invariants
-    rt = reaction_terms(veronese_h(), kbar=1.0)
+    rt = reaction_terms(veronese_h())
     _, _, t2 = norms_batch(veronese_h()[None])
     assert abs(rt.z_closed + 2.0 * t2[0]) < 1e-12
     assert abs(rt.z_brute - rt.z_closed) < 1e-12

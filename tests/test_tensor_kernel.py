@@ -64,7 +64,7 @@ def test_traceless_and_gauss_identities_on_catalog():
 def test_frame_construction_orthonormality():
     surf = make_surface("veronese")
     g = point_geometry(surf.jet_at(1.7, 4.1))
-    tf, nf = g.tangent_frame, g.normal_frame
+    tf, nf = g.tangent, g.normal
     pos = surf.jet_at(1.7, 4.1).position
     assert np.abs(tf @ tf.T - np.eye(2)).max() < 1e-10
     assert np.abs(nf @ nf.T - np.eye(2)).max() < 1e-10
@@ -75,9 +75,9 @@ def test_frame_construction_orthonormality():
 def test_trace_consistency_exact():
     surf = make_surface("flat-torus")
     g = point_geometry(surf.jet_at(0.3, 2.0))
-    h = g.sff.components
+    h = g.h
     trace = h[0, 0] + h[1, 1]
-    assert np.abs(trace - g.mean_curvature).max() == 0.0
+    assert np.abs(trace - g.mean).max() == 0.0
 
 
 def test_frame_independence_under_reparametrization():
