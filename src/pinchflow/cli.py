@@ -25,7 +25,9 @@ import numpy as np
 from . import canonical as canonical_mod
 from . import flow as flow_mod
 from .errors import (BadDims, BadParams, EmptyFeasibleSet, PinchflowError)
-from .frames import reconstruct, specialize
+# specialize is no longer called here (kperp_checks returns its frame), but
+# perfbench/tracing.py wraps it under this module's name
+from .frames import reconstruct, specialize  # noqa: F401
 from .identities import (kperp_checks, kperp_scalar, norms_batch, r1_batch,
                          rm_perp_squared, z_brute_batch)
 from .pinching import (ConeParams, SweepGrid, discriminant_report,
@@ -58,8 +60,10 @@ def _traceless(h):
 
 
 def cmd_verify(args) -> int:
-    rng = np.random.default_rng(args.seed)
     trials = args.trials
+    if trials < 1:
+        raise BadParams("--trials must be at least 1")
+    rng = np.random.default_rng(args.seed)
     tol = args.tol
     h = _random_h(rng, trials)
 
@@ -81,7 +85,7 @@ def cmd_verify(args) -> int:
         (np.abs(chk.reaction_brute - chk.reaction_closed) / scale).max())
     gap = chk.reaction_brute - chk.reaction_printed
     printed_gap = float(np.abs(gap).max())
-    fr = specialize(h)
+    fr = chk.frame
     gap_identity_resid = float((np.abs(gap - 2.0 * kp * fr.b ** 2) / scale).max())
     kp_abs_resid = float(np.abs(np.abs(kp) - 2.0 * fr.a * np.abs(fr.c)).max())
     roundtrip_resid = float(np.abs(reconstruct(fr) - h).max())

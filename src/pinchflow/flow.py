@@ -13,7 +13,10 @@ chart-trace of the second derivatives onto the normal space), which needs no
 normal frames; full frame-based geometry is computed only at monitor strides.
 Stepping works on component-major arrays, (ambient_dim, nu, nv), so its dot
 products and FFTs run over whole grid planes; the surfaces it returns keep
-the (nu, nv, ambient_dim) layout of GridSurface.
+the (nu, nv, ambient_dim) layout of GridSurface.  Monitors take the same
+component-major jets: batch_geometry and gradient_margins compute over whole
+grid planes too, and read the point-major views they are handed without a
+copy.
 """
 
 from __future__ import annotations
@@ -92,6 +95,8 @@ class FlowConfig:
             raise BadParams("scheme must be euler or rk2")
         if self.cfl <= 0 or self.t_max <= 0:
             raise BadParams("cfl and t_max must be positive")
+        if self.stride < 1 or self.flat_window < 1:
+            raise BadParams("stride and flat_window must be at least 1")
         if (self.harnack_csharp is None) != (self.harnack_delta0 is None):
             raise BadParams("harnack audit needs both csharp and delta0")
 
@@ -301,8 +306,12 @@ def _harnack_violations(pos, habs, cfg, t):
 
 
 def monitor(surface: GridSurface, cfg: FlowConfig, t: float) -> MonitorRecord:
-    pos, first, second = batch_jets(surface)
-    geom = batch_geometry(pos, first, second, kbar=cfg.kbar)
+    # point-major views of the component-major jets: batch_geometry reads
+    # them back component-major, so neither direction copies
+    pos, first, second = batch_jets(surface, components_first=True)
+    pos = np.moveaxis(pos, 0, -1)
+    geom = batch_geometry(pos, np.moveaxis(first, (0, 1), (-2, -1)),
+                          np.moveaxis(second, (0, 1, 2), (-3, -2, -1)), kbar=cfg.kbar)
     det = (geom.metric[..., 0, 0] * geom.metric[..., 1, 1]
            - geom.metric[..., 0, 1] ** 2)
     area = float(np.sum(np.sqrt(det)) * surface.du * surface.dv)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDims, InsufficientStencil
-from .frames import specialize
+from .frames import ABCFrame, specialize
 from .tensor_kernel import BatchGeometry
 
 _PERP = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -124,6 +124,7 @@ class KperpChecks:
     reaction_printed: np.ndarray
     laplacian_factor: np.ndarray
     li_li_margin: np.ndarray
+    frame: ABCFrame
 
 
 def _quartic_reaction(amats: np.ndarray) -> np.ndarray:
@@ -186,6 +187,7 @@ def kperp_checks(h, kbar: float = 1.0) -> KperpChecks:
         reaction_printed=printed,
         laplacian_factor=lap,
         li_li_margin=li_li,
+        frame=frame,
     )
 
 
@@ -239,50 +241,68 @@ class GradientMargins:
 
 
 def _best_orthogonal(m: np.ndarray) -> np.ndarray:
-    """Closest orthogonal matrix to a batch of 2x2 matrices (closed form).
+    """Closest orthogonal matrix to each r x r block of m, (r, r, ...).
 
-    Compares the best proper rotation against the best reflection and keeps
-    the better fit, so frames of either relative orientation are aligned
-    exactly.  Larger blocks fall back to an SVD polar factor.
+    Component-major: the block indices lead and the batch trails.  For 2x2
+    blocks a closed form compares the best proper rotation against the best
+    reflection and keeps the better fit, so frames of either relative
+    orientation are aligned exactly.  Larger blocks fall back to an SVD
+    polar factor.  The closed form commutes with transposition exactly.
     """
-    if m.shape[-1] == 2 and m.shape[-2] == 2:
-        al = m[..., 0, 0] + m[..., 1, 1]
-        be = m[..., 0, 1] - m[..., 1, 0]
-        ga = m[..., 0, 0] - m[..., 1, 1]
-        de = m[..., 0, 1] + m[..., 1, 0]
+    if m.shape[:2] == (2, 2):
+        al = m[0, 0] + m[1, 1]
+        be = m[0, 1] - m[1, 0]
+        ga = m[0, 0] - m[1, 1]
+        de = m[0, 1] + m[1, 0]
         rot_gain = np.hypot(al, be)
         ref_gain = np.hypot(ga, de)
-        out = np.empty_like(m)
-        rg = np.where(rot_gain < 1e-300, 1.0, rot_gain)
-        fg = np.where(ref_gain < 1e-300, 1.0, ref_gain)
         use_rot = rot_gain >= ref_gain
-        out[..., 0, 0] = np.where(use_rot, al / rg, ga / fg)
-        out[..., 0, 1] = np.where(use_rot, be / rg, de / fg)
-        out[..., 1, 0] = np.where(use_rot, -be / rg, de / fg)
-        out[..., 1, 1] = np.where(use_rot, al / rg, -ga / fg)
+        gain = np.maximum(rot_gain, ref_gain)
+        gain[gain < 1e-300] = 1.0
+        out = np.empty_like(m)
+        c, s = out[0, 0], out[0, 1]
+        np.divide(np.where(use_rot, al, ga), gain, out=c)
+        np.divide(np.where(use_rot, be, de), gain, out=s)
+        out[1, 0] = np.where(use_rot, -s, s)
+        out[1, 1] = np.where(use_rot, c, -c)
         return out
-    u, _, vt = np.linalg.svd(m)
-    return u @ vt
+    u, _, vt = np.linalg.svd(np.moveaxis(m, (0, 1), (-2, -1)))
+    return np.moveaxis(u @ vt, (-2, -1), (0, 1))
 
 
-def _aligned_shift(field: CurvatureField, axis: int, shift: int) -> np.ndarray:
-    """h of the grid neighbor, re-expressed in the center point's frames.
+def _transport(rt: np.ndarray, rn: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """rt_iI rt_jJ rn_aA h_IJA, one small axis at a time (component-major)."""
+    x = np.einsum("aA...,IJA...->IJa...", rn, h)
+    x = np.einsum("jJ...,IJa...->Ija...", rt, x)
+    return np.einsum("iI...,Ija...->ija...", rt, x)
 
-    Components are transported by the orthogonal alignment of the tangent
+
+def _aligned_difference(h, tangent, normal, axis: int, spacing: float) -> np.ndarray:
+    """Central difference of h along a grid axis, in each point's frames.
+
+    Component-major: h (n, n, k, nu, nv), tangent (n, m+1, nu, nv), normal
+    (k, m+1, nu, nv); axis is the grid axis (0 = u, 1 = v).  The neighbors'
+    components are transported by the orthogonal alignment of the tangent
     and normal frames; naive differencing of raw components would inject
-    spurious gradient wherever the frames rotate across the grid.
+    spurious gradient wherever the frames rotate across the grid.  The
+    alignment to the previous node is the transpose of that node's
+    alignment to its next one, so each axis aligns its frames once.
     """
-    hs = np.roll(field.h, -shift, axis=axis)
-    ts = np.roll(field.tangent, -shift, axis=axis)
-    ns = np.roll(field.normal, -shift, axis=axis)
-    rt = _best_orthogonal(field.tangent @ np.swapaxes(ts, -1, -2))
-    rn = _best_orthogonal(field.normal @ np.swapaxes(ns, -1, -2))
-    return np.einsum("...iI,...jJ,...aA,...IJA->...ija", rt, rt, rn, hs,
-                     optimize=True)
+    axis -= 2
+
+    def align_next(frame):
+        nxt = np.roll(frame, -1, axis=axis)
+        return _best_orthogonal(np.einsum("im...,Im...->iI...", frame, nxt))
+
+    rt, rn = align_next(tangent), align_next(normal)
+    ahead = _transport(rt, rn, np.roll(h, -1, axis=axis))
+    behind = _transport(*(np.swapaxes(np.roll(r, 1, axis=axis), 0, 1) for r in (rt, rn)),
+                        np.roll(h, 1, axis=axis))
+    return (ahead - behind) / (2.0 * spacing)
 
 
 def _symmetrize3(t: np.ndarray) -> np.ndarray:
-    """Total symmetrization over the three tangent slots (q, i, j).
+    """Total symmetrization over the three leading tangent slots (q, i, j).
 
     The continuum covariant derivative of h is fully symmetric in a
     constant-curvature background; the discrete difference breaks that at
@@ -292,11 +312,11 @@ def _symmetrize3(t: np.ndarray) -> np.ndarray:
     """
     return (
         t
-        + np.swapaxes(t, -4, -3)
-        + np.swapaxes(t, -4, -2)
-        + np.swapaxes(t, -3, -2)
-        + np.swapaxes(np.swapaxes(t, -4, -3), -3, -2)
-        + np.swapaxes(np.swapaxes(t, -4, -2), -3, -2)
+        + np.swapaxes(t, 0, 1)
+        + np.swapaxes(t, 0, 2)
+        + np.swapaxes(t, 1, 2)
+        + np.swapaxes(np.swapaxes(t, 0, 1), 1, 2)
+        + np.swapaxes(np.swapaxes(t, 0, 2), 1, 2)
     ) / 6.0
 
 
@@ -309,7 +329,9 @@ def gradient_margins(field: CurvatureField) -> GradientMargins:
 
     grad h is estimated by frame-aligned central differences (second
     order), converted to orthonormal tangent directions through the chart
-    coefficients, and totally symmetrized.
+    coefficients, and totally symmetrized.  The work runs on component-major
+    views of the field (grid axes last), which for batch_geometry's output
+    are its own storage.
     """
     nu, nv = field.h.shape[:2]
     need_u = 0 if field.wrap_u else 1
@@ -317,29 +339,31 @@ def gradient_margins(field: CurvatureField) -> GradientMargins:
     if nu < 2 * need_u + 1 or nv < 2 * need_v + 1:
         raise InsufficientStencil("grid too small for central differences")
 
-    dup = (_aligned_shift(field, 0, +1) - _aligned_shift(field, 0, -1)) / (2.0 * field.du)
-    dvp = (_aligned_shift(field, 1, +1) - _aligned_shift(field, 1, -1)) / (2.0 * field.dv)
-    chart = np.stack([dup, dvp], axis=2)  # (nu, nv, axis, n, n, k)
-    flat = chart.reshape(chart.shape[:3] + (-1,))
-    grad = (field.chart_coeff @ flat).reshape(chart.shape)
-    grad = _symmetrize3(grad)
+    def component_major(x):
+        return np.ascontiguousarray(np.moveaxis(x, (0, 1), (-2, -1)))
+
+    h, tangent, normal, coeff = (component_major(x) for x in
+                                 (field.h, field.tangent, field.normal, field.chart_coeff))
+
+    chart = np.stack([_aligned_difference(h, tangent, normal, 0, field.du),
+                      _aligned_difference(h, tangent, normal, 1, field.dv)])
+    grad = _symmetrize3(np.einsum("qc...,cija...->qija...", coeff, chart))
 
     usl = slice(need_u, nu - need_u) if need_u else slice(None)
     vsl = slice(need_v, nv - need_v) if need_v else slice(None)
-    grad = grad[usl, vsl]
+    grad = grad[..., usl, vsl]
 
     n = field.h.shape[2]
-    grad_a2 = np.einsum("...qija,...qija->...", grad, grad)
-    grad_h = np.einsum("...qiia->...qa", grad)
-    grad_h2 = np.einsum("...qa,...qa->...", grad_h, grad_h)
+    grad_a2 = np.einsum("qija...,qija...->...", grad, grad)
+    grad_h = np.trace(grad, axis1=1, axis2=2)  # (q, a, ...)
+    grad_h2 = np.einsum("qa...,qa...->...", grad_h, grad_h)
 
     m1 = grad_a2 - (3.0 / (n + 2)) * grad_h2
     m2 = (grad_a2 - grad_h2 / n) - (2.0 * (n - 1) / (3.0 * n)) * grad_a2
     m3 = None
     if n == 2 and field.h.shape[-1] == 2:
-        evol = np.einsum(
-            "...qpa,...qpb,ab->...", grad[..., 0, :, :], grad[..., 1, :, :], _PERP,
-            optimize=True,
-        )
+        # sum_qp (d_q h_{1p1} d_q h_{2p2} - d_q h_{1p2} d_q h_{2p1})
+        evol = np.einsum("qp...,qp...->...", grad[:, 0, :, 0], grad[:, 1, :, 1]) - \
+            np.einsum("qp...,qp...->...", grad[:, 0, :, 1], grad[:, 1, :, 0])
         m3 = grad_a2 - 2.0 * evol
     return GradientMargins(m1=m1, m2=m2, m3=m3, grad_a2=grad_a2, grad_h2=grad_h2)

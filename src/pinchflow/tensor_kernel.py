@@ -90,41 +90,42 @@ class BatchGeometry:
         return self.h.shape[-1]
 
 
+def _dot(a, b):
+    """Sum of products over the leading (component) axis: one value per point."""
+    return np.einsum("m...,m...->...", a, b)
+
+
 def _orthonormal_normals(position, tangent, k):
     """Deterministic Gram-Schmidt of the ambient standard basis against
     {position, tangent frame}, batched.
 
-    Candidates are processed in coordinate order; a candidate is skipped
-    where its projection residual falls below NORMAL_RESIDUAL_TOL.  The
-    accepted-slot bookkeeping is per batch element, so different points may
-    accept different candidates (this happens on charts that sweep past a
-    coordinate plane).
+    Component-major: position (m+1, ...), tangent (n, m+1, ...), result
+    (k, m+1, ...).  Candidates are processed in coordinate order; a
+    candidate is skipped where its projection residual falls below
+    NORMAL_RESIDUAL_TOL.  The accepted-slot bookkeeping is per batch
+    element, so different points may accept different candidates (this
+    happens on charts that sweep past a coordinate plane).
     """
-    batch = position.shape[:-1]
-    m1 = position.shape[-1]
-    normal = np.zeros(batch + (k, m1))
+    m1 = position.shape[0]
+    batch = position.shape[1:]
+    normal = np.zeros((k, m1) + batch)
     count = np.zeros(batch, dtype=np.int64)
+    against = [position] + list(tangent)
     for a in range(m1):
-        v = np.zeros(batch + (m1,))
-        v[..., a] = 1.0
+        v = np.zeros((m1,) + batch)
+        v[a] = 1.0
         # two projection passes for numerical orthogonality
+        # (slots that no point has filled yet are zero: skip them)
         for _ in range(2):
-            v = v - np.einsum("...m,...m->...", v, position)[..., None] * position
-            proj_t = np.einsum("...m,...im->...i", v, tangent)
-            v = v - np.einsum("...i,...im->...m", proj_t, tangent)
-            proj_n = np.einsum("...m,...sm->...s", v, normal)
-            v = v - np.einsum("...s,...sm->...m", proj_n, normal)
-        r = np.linalg.norm(v, axis=-1)
+            for e in against + list(normal[:count.max()]):
+                v -= _dot(v, e) * e
+        r = np.sqrt(_dot(v, v))
         accept = (r >= NORMAL_RESIDUAL_TOL) & (count < k)
         if not accept.any():
             continue
-        unit = np.zeros_like(v)
-        good = r > 0
-        unit[good] = v[good] / r[good][..., None]
+        unit = np.divide(v, r, out=np.zeros_like(v), where=r > 0)
         for s in range(k):
-            m = accept & (count == s)
-            if m.any():
-                normal[m, s, :] = unit[m]
+            normal[s] = np.where(accept & (count == s), unit, normal[s])
         count = count + accept
         if (count >= k).all():
             break
@@ -137,42 +138,63 @@ def batch_geometry(position, first, second, kbar: float = 1.0) -> BatchGeometry:
     """Compute extrinsic geometry for a batch of second-order jets.
 
     position: (..., m+1); first: (..., n, m+1); second: (..., n, n, m+1).
-    The tangent frame is Gram-Schmidt of the chart partials in index order
-    (realized through the Cholesky factor of the Gram matrix, which gives
-    the identical frame deterministically).
+    The work runs component-major, with the small axes (ambient, tangent,
+    normal) in front, so each contraction is a sum of products of whole
+    batch planes; inputs that are point-major views of component-major
+    arrays (the flow monitor's jets) are read without a copy.  The returned
+    fields are point-major views of that storage.
+
+    The tangent frame is Gram-Schmidt of the chart partials in index order:
+    dF_i = sum_j L_ij e_j with L lower triangular, gram = L L^T, and the
+    chart coefficients C = L^{-1} give e_i = sum_a C_ia dF_a.
     """
-    position = np.asarray(position, dtype=float)
-    first = np.asarray(first, dtype=float)
-    second = np.asarray(second, dtype=float)
-    n = first.shape[-2]
-    m1 = position.shape[-1]
+    pos = np.ascontiguousarray(np.moveaxis(np.asarray(position, dtype=float), -1, 0))
+    fst = np.ascontiguousarray(np.moveaxis(np.asarray(first, dtype=float), (-2, -1), (0, 1)))
+    sec = np.ascontiguousarray(
+        np.moveaxis(np.asarray(second, dtype=float), (-3, -2, -1), (0, 1, 2)))
+    n, m1 = fst.shape[:2]
     k = m1 - 1 - n
     if k < 1:
         raise ValueError("ambient dimension leaves no normal directions")
 
-    pos_err = np.abs(np.linalg.norm(position, axis=-1) - 1.0)
+    pos_err = np.abs(np.sqrt(_dot(pos, pos)) - 1.0)
     if (pos_err > SPHERE_TOL).any():
         raise OffSphere("max |pos|-1 deviation %.3e" % pos_err.max())
 
-    gram = np.einsum("...ia,...ja->...ij", first, first)
-    det = np.linalg.det(gram)
-    if (det <= GRAM_DET_TOL).any():
-        raise DegenerateJet("min Gram determinant %.3e" % det.min())
+    batch = pos.shape[1:]
+    chol = np.zeros((n, n) + batch)
+    tangent = np.empty((n, m1) + batch)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n):
+            v = fst[i].copy()
+            for j in range(i):
+                chol[i, j] = _dot(fst[i], tangent[j])
+                v -= chol[i, j] * tangent[j]
+            chol[i, i] = np.sqrt(_dot(v, v))
+            tangent[i] = v / chol[i, i]
+        det = np.prod(chol[range(n), range(n)] ** 2, axis=0)
+        if not (det > GRAM_DET_TOL).all():
+            raise DegenerateJet("min Gram determinant %.3e" % det.min())
+    # C = L^{-1} by forward substitution
+    coeff = np.zeros_like(chol)
+    for i in range(n):
+        coeff[i, i] = 1.0 / chol[i, i]
+        for j in range(i):
+            coeff[i, j] = -sum(chol[i, p] * coeff[p, j] for p in range(j, i)) * coeff[i, i]
+    gram = np.empty_like(chol)
+    for i in range(n):
+        for j in range(i + 1):
+            gram[i, j] = gram[j, i] = _dot(fst[i], fst[j])
+    normal = _orthonormal_normals(pos, tangent, k)
 
-    # e_i = sum_a C_{ia} dF_a with C = L^{-1}, gram = L L^T
-    chol = np.linalg.cholesky(gram)
-    coeff = np.linalg.inv(chol)
-    tangent = coeff @ first
-    normal = _orthonormal_normals(position, tangent, k)
+    # h_ija = C_ip C_jq <d2F_pq, nu_a>, one small axis at a time
+    proj = np.einsum("pqm...,am...->pqa...", sec, normal)
+    h = np.einsum("ip...,pja...->ija...", coeff, np.einsum("jq...,pqa...->pja...", coeff, proj))
+    h = 0.5 * (h + np.swapaxes(h, 0, 1))  # enforce exact (i,j) symmetry
 
-    sec_frame = np.einsum("...ia,...jb,...abm->...ijm", coeff, coeff, second,
-                          optimize=True)
-    h = sec_frame @ np.swapaxes(normal, -1, -2)[..., None, :, :]
-    h = 0.5 * (h + np.swapaxes(h, -3, -2))  # enforce exact (i,j) symmetry
-
-    mean = np.einsum("...iia->...a", h)
-    normA2 = np.einsum("...ija,...ija->...", h, h)
-    normH2 = np.einsum("...a,...a->...", mean, mean)
+    mean = np.trace(h)
+    normA2 = np.einsum("ija...,ija...->...", h, h)
+    normH2 = _dot(mean, mean)
 
     # exact background-curvature rescaling
     if kbar != 1.0:
@@ -189,20 +211,20 @@ def batch_geometry(position, first, second, kbar: float = 1.0) -> BatchGeometry:
     kperp = None
     if n == 2 and k == 2:
         # sum_p h_{1p1} h_{2p2} - h_{2p1} h_{1p2}, with rows = tangent slot 1/2
-        h1, h2 = h[..., 0, :, :], h[..., 1, :, :]
-        kperp = (h1[..., 0] * h2[..., 1] - h2[..., 0] * h1[..., 1]).sum(axis=-1)
+        t = h[0, :, 0] * h[1, :, 1] - h[1, :, 0] * h[0, :, 1]
+        kperp = t[0] + t[1]
 
     gauss = None
     if n == 2:
         gauss = kbar + (normH2 - normA2) / 2.0
 
     return BatchGeometry(
-        metric=gram,
-        tangent=tangent,
-        normal=normal,
-        chart_coeff=coeff,
-        h=h,
-        mean=mean,
+        metric=np.moveaxis(gram, (0, 1), (-2, -1)),
+        tangent=np.moveaxis(tangent, (0, 1), (-2, -1)),
+        normal=np.moveaxis(normal, (0, 1), (-2, -1)),
+        chart_coeff=np.moveaxis(coeff, (0, 1), (-2, -1)),
+        h=np.moveaxis(h, (0, 1, 2), (-3, -2, -1)),
+        mean=np.moveaxis(mean, 0, -1),
         normA2=normA2,
         normH2=normH2,
         normTracelessA2=traceless,

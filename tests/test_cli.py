@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from pinchflow.cli import main
 
@@ -141,3 +142,34 @@ def test_report_flags_unreadable_artifact(tmp_path, capsys):
     rc = main(["report", "--output-dir", str(tmp_path)])
     assert rc == 1
     assert "verify.json: unreadable (" in (tmp_path / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "0"],
+    ["verify", "--trials", "-3"],
+    ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--stride", "0"],
+    ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--stride", "-5"],
+    ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--flat-window", "0"],
+], ids=["trials0", "trials-3", "stride0", "stride-5", "flat_window0"])
+def test_bad_counts_exit_2(tmp_path, capsys, argv):
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_flow_rerun_is_byte_identical(tmp_path):
+    """Two runs of one flow write the same bytes (the config's output_dir aside)."""
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["flow", "--surface", "flat-torus", "--nu", "16", "--nv", "16",
+                     "--cone", "thm1", "--stride", "1", "--t-max", "0.01",
+                     "--output-dir", str(out)]) == 0
+        runs.append(out)
+    a, b = runs
+    for name in ("monitor.csv", "snapshot_initial.txt", "snapshot_final.txt"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    ja, jb = read_json(a / "flow.json"), read_json(b / "flow.json")
+    assert ja["config"].pop("output_dir") == str(a)
+    assert jb["config"].pop("output_dir") == str(b)
+    assert ja == jb
+    assert ja["records"] > 1

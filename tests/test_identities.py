@@ -149,6 +149,10 @@ def test_kperp_checks_frozen_example():
     assert abs(gap - 2.0 * 0.7 * 0.3**2) < 1e-10
     # laplacian factor 2 - b^2 - 3a^2 - 3c^2 at (0.7, 0.3, 0.5)
     assert abs(chk.laplacian_factor - (2 - 0.09 - 3 * 0.49 - 3 * 0.25)) < 1e-10
+    # the special frame the printed route used comes back with the checks
+    assert abs(chk.frame.a - 0.7) < 1e-10
+    assert abs(chk.frame.b - 0.3) < 1e-10
+    assert abs(chk.frame.c - 0.5) < 1e-10
 
 
 def test_kperp_gap_identity_random():
@@ -249,3 +253,108 @@ def test_margins_insufficient_stencil():
     fld = CurvatureField.from_batch(geom, grid.du, grid.dv, False, True)
     with pytest.raises(InsufficientStencil):
         gradient_margins(fld)
+
+
+# --- brute-route oracle for the monitor kernels ------------------------------
+#
+# The point-major route the component-major kernels replaced, kept as a
+# test-only reference: tangent frame from the Cholesky factor of the Gram
+# matrix and its inverse, normals by einsum Gram-Schmidt, and the
+# four-operand einsum transport of each neighbor's h.
+
+def _reference_geometry(pos, first, second):
+    gram = np.einsum("...ia,...ja->...ij", first, first)
+    coeff = np.linalg.inv(np.linalg.cholesky(gram))
+    tangent = coeff @ first
+    k = pos.shape[-1] - 1 - first.shape[-2]
+    normal = np.zeros(pos.shape[:-1] + (k, pos.shape[-1]))
+    count = np.zeros(pos.shape[:-1], dtype=np.int64)
+    for a in range(pos.shape[-1]):
+        v = np.zeros_like(pos)
+        v[..., a] = 1.0
+        for _ in range(2):
+            v = v - np.einsum("...m,...m->...", v, pos)[..., None] * pos
+            v = v - np.einsum("...i,...im->...m",
+                              np.einsum("...m,...im->...i", v, tangent), tangent)
+            v = v - np.einsum("...s,...sm->...m",
+                              np.einsum("...m,...sm->...s", v, normal), normal)
+        r = np.linalg.norm(v, axis=-1)
+        accept = (r >= 1e-8) & (count < k)
+        for s in range(k):
+            m = accept & (count == s)
+            normal[m, s, :] = v[m] / r[m][..., None]
+        count = count + accept
+    assert (count == k).all()
+    sec = np.einsum("...ia,...jb,...abm->...ijm", coeff, coeff, second, optimize=True)
+    h = sec @ np.swapaxes(normal, -1, -2)[..., None, :, :]
+    h = 0.5 * (h + np.swapaxes(h, -3, -2))
+    mean = np.einsum("...iia->...a", h)
+    kperp = np.einsum("...pa,...pb,ab->...", h[..., 0, :, :], h[..., 1, :, :],
+                      np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return dict(h=h, coeff=coeff, tangent=tangent, normal=normal,
+                normA2=np.einsum("...ija,...ija->...", h, h),
+                normH2=np.einsum("...a,...a->...", mean, mean), kperp=kperp)
+
+
+def _reference_margins(geo, du, dv, wrap_u):
+    def polar(m):
+        u, _, vt = np.linalg.svd(m)
+        return u @ vt
+
+    def aligned_shift(axis, shift):
+        hs = np.roll(geo["h"], -shift, axis=axis)
+        ts = np.roll(geo["tangent"], -shift, axis=axis)
+        ns = np.roll(geo["normal"], -shift, axis=axis)
+        # the closest orthogonal matrix, proper or not: the SVD polar factor
+        rt = polar(geo["tangent"] @ np.swapaxes(ts, -1, -2))
+        rn = polar(geo["normal"] @ np.swapaxes(ns, -1, -2))
+        return np.einsum("...iI,...jJ,...aA,...IJA->...ija", rt, rt, rn, hs,
+                         optimize=True)
+
+    dup = (aligned_shift(0, 1) - aligned_shift(0, -1)) / (2.0 * du)
+    dvp = (aligned_shift(1, 1) - aligned_shift(1, -1)) / (2.0 * dv)
+    chart = np.stack([dup, dvp], axis=2)
+    grad = np.einsum("...qc,...cija->...qija", geo["coeff"], chart)
+    perms = ["qija", "iqja", "jiqa", "qjia", "ijqa", "jqia"]
+    grad = sum(np.einsum("...qija->..." + p, grad) for p in perms) / 6.0
+    if not wrap_u:
+        grad = grad[1:-1]
+    grad_a2 = np.einsum("...qija,...qija->...", grad, grad)
+    grad_h = np.einsum("...qiia->...qa", grad)
+    grad_h2 = np.einsum("...qa,...qa->...", grad_h, grad_h)
+    evol = np.einsum("...qpa,...qpb,ab->...", grad[..., 0, :, :], grad[..., 1, :, :],
+                     np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return dict(grad_a2=grad_a2, m1=grad_a2 - 0.75 * grad_h2,
+                m2=(grad_a2 - grad_h2 / 2.0) - grad_a2 / 3.0, m3=grad_a2 - 2.0 * evol)
+
+
+@pytest.mark.parametrize("grid", [
+    sample_grid(make_surface("flat-torus", r1=0.6, r2=0.8), 40, 40),
+    sample_grid(make_surface("geodesic-sphere", rho=np.pi / 3), 32, 64),
+    perturb(make_surface("veronese"), (3, 2), 0.02, 48, 48, direction=1),
+], ids=["torus40", "sphere32x64", "veronese48"])
+def test_monitor_kernels_match_point_major_reference(grid):
+    """Component-major geometry and margins against the brute route, 1e-12
+    relative.  The scale of each field is its maximum over the grid, floored
+    at its natural size (|A|^2 for invariants, |A|^4 for gradient terms): a
+    field that vanishes in exact arithmetic (kperp of a surface in a great
+    S^3, |grad A|^2 of a parallel form) is compared at its roundoff floor,
+    not by the ratio of two roundoffs."""
+    wrap_u = grid.topology == "torus"
+    pos, first, second = batch_jets(grid)
+    ref = _reference_geometry(pos, first, second)
+    ref.update(_reference_margins(ref, grid.du, grid.dv, wrap_u))
+    geom = batch_geometry(pos, first, second)
+    got = {"normA2": geom.normA2, "normH2": geom.normH2, "kperp": geom.kperp}
+    margins = gradient_margins(CurvatureField.from_batch(geom, grid.du, grid.dv,
+                                                         wrap_u, True))
+    got.update(grad_a2=margins.grad_a2, m1=margins.m1, m2=margins.m2, m3=margins.m3)
+    a2 = ref["normA2"].max()
+    for name, value in got.items():
+        floor = a2 if name in ("normA2", "normH2", "kperp") else a2 * a2
+        scale = max(np.abs(ref[name]).max(), floor)
+        assert value.shape == ref[name].shape, name
+        assert np.abs(value - ref[name]).max() <= 1e-12 * scale, name
+    if wrap_u:
+        # the flat torus lies in a great S^3: its normal curvature is an exact zero
+        assert np.all(geom.kperp == 0.0) and not np.signbit(geom.kperp).any()
