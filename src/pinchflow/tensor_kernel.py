@@ -181,10 +181,7 @@ def batch_geometry(position, first, second, kbar: float = 1.0) -> BatchGeometry:
         coeff[i, i] = 1.0 / chol[i, i]
         for j in range(i):
             coeff[i, j] = -sum(chol[i, p] * coeff[p, j] for p in range(j, i)) * coeff[i, i]
-    gram = np.empty_like(chol)
-    for i in range(n):
-        for j in range(i + 1):
-            gram[i, j] = gram[j, i] = _dot(fst[i], fst[j])
+    gram = np.einsum("im...,jm...->ij...", fst, fst)
     normal = _orthonormal_normals(pos, tangent, k)
 
     # h_ija = C_ip C_jq <d2F_pq, nu_a>, one small axis at a time
