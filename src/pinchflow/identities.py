@@ -4,7 +4,9 @@ Every quantity here is a polynomial contraction of the second fundamental
 form.  The brute-force routes evaluate the literal index sums; the closed
 forms are the catalogued simplifications.  Tests compare the two on large
 random populations — the closed forms are claims under test, never a
-substitute for the oracle.
+substitute for the oracle.  The batched primitives take h point-major,
+(..., n, n, k), and evaluate their index sums component-major, over whole
+batch planes; see the section header below.
 
 Conventions (all in orthonormal frames):
     S_{ab}     = sum_{ij} h_{ija} h_{ijb}
@@ -26,56 +28,79 @@ from .errors import BadDims, InsufficientStencil
 from .frames import ABCFrame, specialize
 from .tensor_kernel import BatchGeometry
 
-_PERP = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
 # ---------------------------------------------------------------------------
-# batched primitives (leading batch shape arbitrary, h is (..., n, n, k))
+# batched primitives
+#
+# h is point-major (..., n, n, k) with any leading batch shape.  Each index
+# sum runs on h component-major (the small axes n, n, k first, the batch
+# last), so every term is a product of whole contiguous batch planes.  When h
+# is the point-major view of (n, n, k, ...) storage, as the sweep's
+# configuration builders return, that storage is used as it is; other h is
+# copied into that layout once per call.
+
+def _components(h: np.ndarray) -> np.ndarray:
+    """Contiguous component-major (n, n, k, ...) form of point-major h."""
+    return np.ascontiguousarray(np.moveaxis(h, (-3, -2, -1), (0, 1, 2)))
+
+
+def _s_matrix(c: np.ndarray) -> np.ndarray:
+    return np.einsum("ija...,ijb...->ab...", c, c)
+
+
+def _mean_vector(c: np.ndarray) -> np.ndarray:
+    return np.einsum("iia...->a...", c)
+
 
 def s_matrix(h: np.ndarray) -> np.ndarray:
-    return np.einsum("...ija,...ijb->...ab", h, h)
+    return np.moveaxis(_s_matrix(_components(h)), (0, 1), (-2, -1))
 
 
 def mean_vector(h: np.ndarray) -> np.ndarray:
-    return np.einsum("...iia->...a", h)
+    return np.moveaxis(_mean_vector(_components(h)), 0, -1)
 
 
 def rm_perp_squared(h: np.ndarray) -> np.ndarray:
-    t = np.einsum("...ipa,...jpb->...ijab", h, h)
-    rp = t - np.swapaxes(t, -4, -3)
-    return np.einsum("...ijab,...ijab->...", rp, rp)
+    c = _components(h)
+    t = np.einsum("ipa...,jpb...->ijab...", c, c)
+    rp = t - np.swapaxes(t, 0, 1)
+    return np.einsum("ijab...,ijab...->...", rp, rp)
 
 
 def kperp_scalar(h: np.ndarray) -> np.ndarray:
     """Normal-bundle curvature sum_p (h_{1p1} h_{2p2} - h_{2p1} h_{1p2})."""
     if h.shape[-1] != 2 or h.shape[-2] != 2:
         raise BadDims("kperp needs (n, k) = (2, 2)")
-    return np.einsum("...pa,...pb,ab->...", h[..., 0, :, :], h[..., 1, :, :], _PERP)
+    c = _components(h)
+    return (np.einsum("p...,p...->...", c[0, :, 0], c[1, :, 1])
+            - np.einsum("p...,p...->...", c[1, :, 0], c[0, :, 1]))
 
 
 def r1_batch(h: np.ndarray) -> np.ndarray:
-    s = s_matrix(h)
-    return np.einsum("...ab,...ab->...", s, s) + rm_perp_squared(h)
+    s = _s_matrix(_components(h))
+    return np.einsum("ab...,ab...->...", s, s) + rm_perp_squared(h)
 
 
 def r2_batch(h: np.ndarray) -> np.ndarray:
-    hh = np.einsum("...a,...ija->...ij", mean_vector(h), h)
-    return np.einsum("...ij,...ij->...", hh, hh)
+    c = _components(h)
+    hh = np.einsum("a...,ija...->ij...", _mean_vector(c), c)
+    return np.einsum("ij...,ij...->...", hh, hh)
 
 
 def z_brute_batch(h: np.ndarray) -> np.ndarray:
-    s = s_matrix(h)
-    hh = np.einsum("...a,...ipa->...ip", mean_vector(h), h)
-    cubic = np.einsum("...ip,...ijb,...pjb->...", hh, h, h)
-    return cubic - np.einsum("...ab,...ab->...", s, s) - rm_perp_squared(h)
+    c = _components(h)
+    s = _s_matrix(c)
+    hh = np.einsum("a...,ipa...->ip...", _mean_vector(c), c)
+    cubic = np.einsum("ip...,ijb...,pjb...->...", hh, c, c)
+    return cubic - np.einsum("ab...,ab...->...", s, s) - rm_perp_squared(h)
 
 
 def norms_batch(h: np.ndarray):
     """(normA2, normH2, traceless) for a batch of h."""
-    n = h.shape[-3]
-    normA2 = np.einsum("...ija,...ija->...", h, h)
-    mean = mean_vector(h)
-    normH2 = np.einsum("...a,...a->...", mean, mean)
+    c = _components(h)
+    n = c.shape[0]
+    normA2 = np.einsum("ija...,ija...->...", c, c)
+    mean = _mean_vector(c)
+    normH2 = np.einsum("a...,a...->...", mean, mean)
     return normA2, normH2, normA2 - normH2 / n
 
 

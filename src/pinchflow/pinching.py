@@ -38,15 +38,15 @@ CRITICAL_MAX_RES = 64    # lattice resolution cap of the critical-constant searc
 
 
 def thread_count() -> int:
-    """Worker count: PINCHFLOW_THREADS caps it, 0 or unset means auto."""
-    raw = os.environ.get("PINCHFLOW_THREADS", "").strip()
-    try:
-        n = int(raw) if raw else 0
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
+    """Worker count: PINCHFLOW_THREADS caps it, 0 or unset means auto.
+
+    Any other value that is not a positive integer raises BadParams.
+    """
+    raw = os.environ.get("PINCHFLOW_THREADS", "").strip() or "0"
+    if not raw.isdecimal():
+        raise BadParams("PINCHFLOW_THREADS must be a nonnegative integer, got %r" % raw)
+    n = int(raw)
+    return n if n > 0 else min(os.cpu_count() or 1, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -185,39 +185,46 @@ def thm1_config_h(n: int, x, y, hsq) -> np.ndarray:
     surfaces (n = 2) this realization maximizes R1 at fixed (x, y), so the
     sweep supremum is attained on it; for higher n it realizes the same
     |Atr1|^2/|Atr-|^2 split the estimates are phrased in.
+
+    Returns the point-major (m, n, n, 2) view of component-major
+    (n, n, 2, m) storage, the layout the identities contractions run on.
     """
     x = np.atleast_1d(np.asarray(x, float))
     y = np.atleast_1d(np.asarray(y, float))
     hsq = np.atleast_1d(np.asarray(hsq, float))
     m = x.shape[0]
-    h = np.zeros((m, n, n, 2))
+    h = np.zeros((n, n, 2, m))
     idx = np.arange(n)
-    h[:, idx, idx, 0] = (np.sqrt(hsq) / n)[:, None]
+    h[idx, idx, 0] = np.sqrt(hsq) / n
     s = np.sqrt(x / 2.0)
-    h[:, 0, 0, 0] += s
-    h[:, 1, 1, 0] -= s
+    h[0, 0, 0] += s
+    h[1, 1, 0] -= s
     t = np.sqrt(y / 2.0)
-    h[:, 0, 1, 1] = t
-    h[:, 1, 0, 1] = t
-    return h
+    h[0, 1, 1] = t
+    h[1, 0, 1] = t
+    return np.moveaxis(h, -1, 0)
 
 
 def thm2_config_h(a, b, c, hsq) -> np.ndarray:
-    """Special-frame h for (n, k) = (2, 2) from (a, b, c) and |H|^2."""
+    """Special-frame h for (n, k) = (2, 2) from (a, b, c) and |H|^2.
+
+    Returns the point-major (m, 2, 2, 2) view of component-major
+    (2, 2, 2, m) storage, as thm1_config_h does.
+    """
     a = np.atleast_1d(np.asarray(a, float))
     b = np.atleast_1d(np.asarray(b, float))
     c = np.atleast_1d(np.asarray(c, float))
     hsq = np.atleast_1d(np.asarray(hsq, float))
     m = a.shape[0]
-    h = np.zeros((m, 2, 2, 2))
+    h = np.zeros((2, 2, 2, m))
     half = np.sqrt(hsq) / 2.0
-    h[:, 0, 0, 0] = half + a
-    h[:, 1, 1, 0] = half - a
-    h[:, 0, 0, 1] = b
-    h[:, 1, 1, 1] = -b
-    h[:, 0, 1, 1] = c
-    h[:, 1, 0, 1] = c
-    return h
+    h[0, 0, 0] = half + a
+    h[1, 1, 0] = half - a
+    h[0, 0, 1] = b
+    h[1, 1, 1] = -b
+    h[0, 1, 1] = c
+    h[1, 0, 1] = c
+    return np.moveaxis(h, -1, 0)
 
 
 def realize_argmax(params: ConeParams, argmax: dict):

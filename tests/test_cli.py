@@ -1,6 +1,7 @@
 """End-to-end exercises of the command line driver (in-process)."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -154,6 +155,28 @@ def test_report_flags_unreadable_artifact(tmp_path, capsys):
 def test_bad_counts_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--output-dir", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+SMALL_SWEEP = ["sweep", "--variant", "thm1", "--resolution", "8", "--no-bisect"]
+
+
+@pytest.mark.parametrize("value", ["abc", "-4"])
+def test_malformed_thread_count_exits_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("PINCHFLOW_THREADS", value)
+    assert main(SMALL_SWEEP + ["--output-dir", str(tmp_path)]) == 2
+    assert "PINCHFLOW_THREADS" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sweep_*.json"))
+
+
+@pytest.mark.parametrize("value", [None, "0"], ids=["unset", "zero"])
+def test_thread_count_unset_or_zero_is_auto(tmp_path, monkeypatch, value):
+    if value is None:
+        monkeypatch.delenv("PINCHFLOW_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("PINCHFLOW_THREADS", value)
+    assert main(SMALL_SWEEP + ["--output-dir", str(tmp_path)]) == 0
+    config = read_json(tmp_path / "sweep_thm1_full.json")["config"]
+    assert config["threads"] == min(os.cpu_count() or 1, 8)
 
 
 def test_flow_rerun_is_byte_identical(tmp_path):

@@ -12,9 +12,10 @@ from pinchflow.canonical import make_surface, perturb, sample_grid
 from pinchflow.errors import BadDims, InsufficientStencil
 from pinchflow.grids import batch_jets
 from pinchflow.identities import (CurvatureField, gradient_margins,
-                                  kperp_checks, kperp_scalar, norms_batch,
-                                  r1_batch, r2_batch, reaction_terms,
-                                  rm_perp_squared, z_brute_batch)
+                                  kperp_checks, kperp_scalar, mean_vector,
+                                  norms_batch, r1_batch, r2_batch,
+                                  reaction_terms, rm_perp_squared, s_matrix,
+                                  z_brute_batch)
 from pinchflow.tensor_kernel import batch_geometry
 
 
@@ -66,13 +67,54 @@ def r1_loop(h):
     return (s * s).sum() + rm, rm
 
 
+def mean_loop(h):
+    n, k = h.shape[0], h.shape[2]
+    return np.array([sum(h[i, i, a] for i in range(n)) for a in range(k)])
+
+
 def r2_loop(h):
-    hv = h[0, 0] + h[1, 1]
+    n = h.shape[0]
+    hv = mean_loop(h)
     out = 0.0
-    for i in range(2):
-        for j in range(2):
+    for i in range(n):
+        for j in range(n):
             out += (hv * h[i, j]).sum() ** 2
     return out
+
+
+def norms_loop(h):
+    n, k = h.shape[0], h.shape[2]
+    a2 = 0.0
+    for i in range(n):
+        for j in range(n):
+            for a in range(k):
+                a2 += h[i, j, a] * h[i, j, a]
+    h2 = (mean_loop(h) ** 2).sum()
+    return a2, h2, a2 - h2 / n
+
+
+def s_loop(h):
+    k = h.shape[2]
+    return np.array([[(h[:, :, a] * h[:, :, b]).sum() for b in range(k)]
+                     for a in range(k)])
+
+
+# The point-major einsum route the component-major primitives replaced, kept
+# as a test-only reference: it sums over the small axes innermost.
+
+def _point_major_reference(h):
+    n = h.shape[-3]
+    s = np.einsum("...ija,...ijb->...ab", h, h)
+    t = np.einsum("...ipa,...jpb->...ijab", h, h)
+    rp = t - np.swapaxes(t, -4, -3)
+    rm = np.einsum("...ijab,...ijab->...", rp, rp)
+    mean = np.einsum("...iia->...a", h)
+    hh = np.einsum("...a,...ija->...ij", mean, h)
+    a2 = np.einsum("...ija,...ija->...", h, h)
+    h2 = np.einsum("...a,...a->...", mean, mean)
+    return dict(s=s, mean=mean, rm=rm, r1=np.einsum("...ab,...ab->...", s, s) + rm,
+                r2=np.einsum("...ij,...ij->...", hh, hh),
+                normA2=a2, normH2=h2, traceless=a2 - h2 / n)
 
 
 def test_reaction_terms_frozen_example():
@@ -134,6 +176,36 @@ def test_general_codimension_batches():
         r1_ref, _ = r1_loop(row)
         assert abs(r1_batch(row[None])[0] - r1_ref) < 1e-10 * (1 + abs(r1_ref))
         assert abs(r2_batch(row[None])[0] - r2_loop(row)) < 1e-10
+
+
+@pytest.mark.parametrize("layout", ["point-major", "component-major-storage"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_primitives_match_loops_any_dimension(n, k, layout):
+    """S, the mean vector, r1, r2, |Rmperp|^2 and the norms against the index
+    loops and the point-major einsum route, on contiguous point-major h and on the
+    point-major view of (n, n, k, m) storage that the sweep builders return.
+    Tolerance 1e-12 (1 + |ref|): the sums are the same, only their order
+    differs."""
+    rng = np.random.default_rng(1000 + 10 * n + k)
+    h = rng.uniform(-1.0, 1.0, size=(30, n, n, k))
+    h = 0.5 * (h + np.swapaxes(h, 1, 2))
+    if layout == "component-major-storage":
+        h = np.moveaxis(np.ascontiguousarray(np.moveaxis(h, 0, -1)), -1, 0)
+        assert h.base.flags.c_contiguous and h.base.shape == (n, n, k, 30)
+    ref = _point_major_reference(h)
+    a2, h2, t2 = norms_batch(h)
+    got = dict(s=s_matrix(h), mean=mean_vector(h), rm=rm_perp_squared(h),
+               r1=r1_batch(h), r2=r2_batch(h), normA2=a2, normH2=h2, traceless=t2)
+    for row, hrow in enumerate(h):
+        r1_ref, rm_ref = r1_loop(hrow)
+        loops = dict(s=s_loop(hrow), mean=mean_loop(hrow), rm=rm_ref, r1=r1_ref,
+                     r2=r2_loop(hrow))
+        loops.update(zip(("normA2", "normH2", "traceless"), norms_loop(hrow)))
+        for name, want in loops.items():
+            for value in (got[name][row], ref[name][row]):
+                assert np.shape(value) == np.shape(want), name
+                assert np.all(np.abs(value - want) <= 1e-12 * (1.0 + np.abs(want))), name
 
 
 def test_kperp_checks_frozen_example():

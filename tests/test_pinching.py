@@ -189,6 +189,19 @@ def test_sweep_determinism():
     assert a == b
 
 
+@pytest.mark.parametrize("params", [ConeParams("thm1", n=4), ConeParams("thm2")],
+                         ids=["thm1_n4", "thm2"])
+def test_sweep_independent_of_thread_schedule(monkeypatch, params):
+    """Worker count and chunk size change the schedule, never the report:
+    one chunk or fourteen, evaluated serially or by two workers."""
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PINCHFLOW_THREADS", threads)
+        for chunk in (1024, 131072):
+            reports.append(reaction_sweep(params, SweepGrid(resolution=24, chunk=chunk)).to_dict())
+    assert all(rep == reports[0] for rep in reports[1:])
+
+
 def test_sweep_empty_feasible_set():
     with pytest.raises(EmptyFeasibleSet):
         reaction_sweep(ConeParams("thm2", k=0.4),
