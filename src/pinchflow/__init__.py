@@ -6,9 +6,9 @@ from .errors import (BadDims, BadParams, BlowupDetected, DegenerateAfterPerturb,
                      InsufficientStencil, OffSphere, PinchflowError, PoleRow)
 from .tensor_kernel import BatchGeometry, Jet2, batch_geometry, point_geometry
 from .frames import ABCFrame, TracelessSplit, reconstruct, specialize, split_traceless
-from .identities import (CurvatureField, GradientMargins, KperpChecks,
-                         ReactionTerms, gradient_margins, kperp_checks,
-                         kperp_scalar, reaction_terms)
+from .identities import (GradientMargins, KperpChecks, ReactionTerms,
+                         gradient_margins, kperp_checks, kperp_scalar,
+                         reaction_terms)
 from .grids import GridSurface, batch_jets, discrete_jet
 from .canonical import (CanonicalSurface, geodesic_sphere_jet, make_surface,
                         perturb, sample_grid)

@@ -254,7 +254,7 @@ def cmd_flow(args) -> int:
             "t_max": args.t_max, "ceiling": args.ceiling, "stride": args.stride,
             "flat_threshold": args.flat_threshold, "flat_window": args.flat_window,
             "kbar": args.kbar, "sigma": args.sigma,
-            "cone": cone.describe() if cone is not None else None,
+            "cone": cfg.cone.describe() if cfg.cone is not None else None,
             "harnack_csharp": args.harnack_csharp,
             "harnack_delta0": args.harnack_delta0,
             "seed": args.seed, "output_dir": args.output_dir, "prefix": args.prefix,
@@ -424,8 +424,13 @@ def _apply_config_file(parser, table, argv):
         return
     if known.command not in table:
         raise BadParams("config file given without a valid subcommand")
-    with open(known.config) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(known.config) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise BadParams("cannot read config file %s: %s" % (known.config, exc)) from exc
+    if not isinstance(cfg, dict):
+        raise BadParams("config file %s does not hold a JSON object" % known.config)
     sub = table[known.command]
     valid = {a.dest for a in sub._actions}
     unknown = sorted(set(cfg) - valid)

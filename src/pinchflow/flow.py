@@ -11,25 +11,24 @@ usual cure for the pole clustering of such grids).
 The time stepper uses a lean velocity evaluation (projection of the
 chart-trace of the second derivatives onto the normal space), which needs no
 normal frames; full frame-based geometry is computed only at monitor strides.
-Stepping works on component-major arrays, (ambient_dim, nu, nv), so its dot
-products and FFTs run over whole grid planes; the surfaces it returns keep
-the (nu, nv, ambient_dim) layout of GridSurface.  Monitors take the same
-component-major jets: batch_geometry and gradient_margins compute over whole
-grid planes too, and read the point-major views they are handed without a
-copy.
+Everything between the jets and the monitor record is component-major, the
+small axes first and the grid axes last, so dot products, FFTs and frame
+contractions run over whole grid planes; the surfaces step returns keep the
+(nu, nv, ambient_dim) layout of GridSurface.  run evaluates each surface's
+jets once and hands the same tuple to monitor and to the next step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (BadParams, BlowupDetected, DegenerateJet, Extinct,
                      InsufficientStencil, OffSphere)
 from .grids import GridSurface, batch_jets
-from .identities import CurvatureField, gradient_margins
+from .identities import gradient_margins
 from .pinching import ConeParams, harnack_bound, q_from_invariants
 from .tensor_kernel import batch_geometry
 
@@ -86,7 +85,7 @@ class FlowConfig:
     stride: int = 25                 # steps between monitor records
     sigma: float = 0.5               # grad_ratio exponent: |grad A|^2 / g^(2 - sigma)
     kbar: float = 1.0
-    cone: ConeParams | None = None
+    cone: ConeParams | None = None   # evaluated at this config's kbar
     harnack_csharp: float | None = None
     harnack_delta0: float | None = None
 
@@ -99,6 +98,10 @@ class FlowConfig:
             raise BadParams("stride and flat_window must be at least 1")
         if (self.harnack_csharp is None) != (self.harnack_delta0 is None):
             raise BadParams("harnack audit needs both csharp and delta0")
+        if self.cone is not None:
+            # one background curvature per flow: Q is evaluated at the kbar
+            # that batch_geometry rescales the monitored invariants by
+            self.cone = replace(self.cone, kbar=self.kbar)
 
 
 @dataclass
@@ -118,11 +121,10 @@ class FlowResult:
 def _lean_velocity(pos, first, second):
     """(H_S vector, |A|^2) without constructing normal frames.
 
-    Takes and returns component-major jets (batch_jets(...,
-    components_first=True)): pos (d, ...), first (2, d, ...), second
-    (2, 2, d, ...), velocity (d, ...).  H_S is the orthogonal projection of
-    g^{ab} d2F_ab onto the complement of span{F, dF}; |A|^2 contracts the
-    normal-projected second derivatives.
+    Takes component-major jets as batch_jets returns them: pos (d, ...),
+    first (2, d, ...), second (2, 2, d, ...); velocity (d, ...).  H_S is the
+    orthogonal projection of g^{ab} d2F_ab onto the complement of
+    span{F, dF}; |A|^2 contracts the normal-projected second derivatives.
     """
     # hand-unrolled n = 2 contractions: this is the per-step hot loop, and
     # with the ambient components on the leading axis every dot product is
@@ -156,7 +158,7 @@ def _lean_velocity(pos, first, second):
 
 def mcf_velocity(surface: GridSurface) -> np.ndarray:
     """Mean curvature vector field within the sphere, zero on pole rows."""
-    vel, _ = _lean_velocity(*batch_jets(surface, components_first=True))
+    vel, _ = _lean_velocity(*batch_jets(surface))
     out = np.zeros_like(surface.samples)
     out[surface.valid_rows] = np.moveaxis(vel, 0, -1)
     return out
@@ -203,11 +205,14 @@ def _advance(surface: GridSurface, vel_valid: np.ndarray, dt: float) -> GridSurf
     return surface.copy_with(np.ascontiguousarray(np.moveaxis(samples, 0, -1)))
 
 
-def step(state: FlowState, scheme: str = "euler", cfl: float = 0.2,
+def step(state: FlowState, jets, scheme: str = "euler", cfl: float = 0.2,
          ceiling: float = 1e6) -> FlowState:
-    """One explicit step with dt = cfl * (min spacing)^2 / max(1, a2_max)."""
+    """One explicit step with dt = cfl * (min spacing)^2 / max(1, a2_max).
+
+    jets is batch_jets(state.surface).
+    """
     surf = state.surface
-    vel, a2 = _lean_velocity(*batch_jets(surf, components_first=True))
+    vel, a2 = _lean_velocity(*jets)
     a2max = float(a2.max())
     if not math.isfinite(a2max) or a2max > ceiling:
         raise BlowupDetected("a2_max = %.6e beyond ceiling %.3e at t = %.8f"
@@ -217,7 +222,7 @@ def step(state: FlowState, scheme: str = "euler", cfl: float = 0.2,
         new = _advance(surf, vel, dt)
     elif scheme == "rk2":
         mid = _advance(surf, vel, 0.5 * dt)
-        vel2, a2b = _lean_velocity(*batch_jets(mid, components_first=True))
+        vel2, a2b = _lean_velocity(*batch_jets(mid))
         if float(a2b.max()) > ceiling:
             raise BlowupDetected("a2_max exceeded ceiling at the RK2 midpoint")
         new = _advance(surf, vel2, dt)
@@ -262,9 +267,8 @@ def sphere_extinction_time(rho0: float, n: int) -> float:
 
 def _grad_ratio(geom, surface, cfg):
     wrap_u = surface.topology == "torus"
-    fld = CurvatureField.from_batch(geom, surface.du, surface.dv, wrap_u, True)
     try:
-        margins = gradient_margins(fld)
+        margins = gradient_margins(geom, surface.du, surface.dv, wrap_u)
     except (InsufficientStencil, np.linalg.LinAlgError):
         return float("nan")
     n = geom.n
@@ -283,21 +287,22 @@ def _harnack_violations(pos, habs, cfg, t):
     Distances are lengths of grid-line paths (down the column to the target
     row, then around the row), an upper bound for the intrinsic distance, so
     the path-form lower bound applies and flagged violations are sound.
+    pos is component-major, (d, rows, cols).
     """
     i0, j0 = np.unravel_index(int(np.argmax(habs)), habs.shape)
     h0 = float(habs[i0, j0])
     if h0 <= 0:
         return 0
-    col = pos[:, j0]
-    seg_u = np.linalg.norm(np.diff(col, axis=0), axis=-1)
-    dcol = np.zeros(pos.shape[0])
-    if i0 + 1 < pos.shape[0]:
+    rows = habs.shape[0]
+    seg_u = np.linalg.norm(np.diff(pos[:, :, j0], axis=1), axis=0)
+    dcol = np.zeros(rows)
+    if i0 + 1 < rows:
         dcol[i0 + 1:] = np.cumsum(seg_u[i0:])
     if i0 > 0:
         dcol[:i0] = np.cumsum(seg_u[:i0][::-1])[::-1]
-    segs = np.linalg.norm(np.roll(pos, -1, axis=1) - pos, axis=-1)
+    segs = np.linalg.norm(np.roll(pos, -1, axis=2) - pos, axis=0)
     s = np.roll(segs, -j0, axis=1)
-    fw = np.concatenate([np.zeros((pos.shape[0], 1)), np.cumsum(s[:, :-1], axis=1)], axis=1)
+    fw = np.concatenate([np.zeros((rows, 1)), np.cumsum(s[:, :-1], axis=1)], axis=1)
     total = s.sum(axis=1, keepdims=True)
     drow = np.roll(np.minimum(fw, total - fw), j0, axis=1)
     d = dcol[:, None] + drow
@@ -305,15 +310,10 @@ def _harnack_violations(pos, habs, cfg, t):
     return int(np.sum(habs < (1.0 - 1e-9) * bound - 1e-12))
 
 
-def monitor(surface: GridSurface, cfg: FlowConfig, t: float) -> MonitorRecord:
-    # point-major views of the component-major jets: batch_geometry reads
-    # them back component-major, so neither direction copies
-    pos, first, second = batch_jets(surface, components_first=True)
-    pos = np.moveaxis(pos, 0, -1)
-    geom = batch_geometry(pos, np.moveaxis(first, (0, 1), (-2, -1)),
-                          np.moveaxis(second, (0, 1, 2), (-3, -2, -1)), kbar=cfg.kbar)
-    det = (geom.metric[..., 0, 0] * geom.metric[..., 1, 1]
-           - geom.metric[..., 0, 1] ** 2)
+def monitor(surface: GridSurface, jets, cfg: FlowConfig, t: float) -> MonitorRecord:
+    """One monitor record of surface at time t; jets is batch_jets(surface)."""
+    geom = batch_geometry(*jets, kbar=cfg.kbar)
+    det = geom.metric[0, 0] * geom.metric[1, 1] - geom.metric[0, 1] ** 2
     area = float(np.sum(np.sqrt(det)) * surface.du * surface.dv)
 
     offset = 1 if surface.topology == "sphere" else 0
@@ -344,7 +344,7 @@ def monitor(surface: GridSurface, cfg: FlowConfig, t: float) -> MonitorRecord:
 
     violations = 0
     if cfg.harnack_csharp is not None:
-        violations = _harnack_violations(pos, habs, cfg, t)
+        violations = _harnack_violations(jets[0], habs, cfg, t)
 
     return MonitorRecord(
         t=t,
@@ -395,7 +395,8 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
     axis = RADIUS_AXIS if surface.meta.get("kind") == "geodesic-sphere" else None
 
     state = FlowState(t=0.0, step_index=0, surface=surface, dt_last=0.0)
-    records = [monitor(surface, cfg, 0.0)]
+    jets = batch_jets(surface)
+    records = [monitor(surface, jets, cfg, 0.0)]
     radius = [] if axis is None else [(0.0, _mean_radius(surface, axis))]
     notes = []
     initial_area = records[0].area
@@ -412,7 +413,7 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
             notes.append("step budget exhausted at t = %.6f" % state.t)
             break
         try:
-            state = step(state, scheme=cfg.scheme, cfl=cfg.cfl,
+            state = step(state, jets, scheme=cfg.scheme, cfl=cfg.cfl,
                          ceiling=cfg.blowup_ceiling)
         except BlowupDetected as exc:
             notes.append(str(exc))
@@ -422,8 +423,9 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
             notes.append("geometry degenerated mid-run: %s" % exc)
             aborted = True
             break
+        jets = batch_jets(state.surface)
         if state.step_index % cfg.stride == 0:
-            rec = monitor(state.surface, cfg, state.t)
+            rec = monitor(state.surface, jets, cfg, state.t)
             records.append(rec)
             if axis is not None:
                 radius.append((state.t, _mean_radius(state.surface, axis)))
@@ -434,7 +436,8 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
 
     if aborted:
         try:
-            rec = monitor(state.surface, cfg, state.t)
+            # a failed step leaves state, and so jets, at the last surface
+            rec = monitor(state.surface, jets, cfg, state.t)
             records.append(rec)
             if axis is not None:
                 radius.append((state.t, _mean_radius(state.surface, axis)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PoleRow
+from .errors import BadParams, PoleRow
 from .tensor_kernel import Jet2
 
 
@@ -34,7 +34,14 @@ class GridSurface:
         if self.topology not in ("torus", "sphere"):
             raise ValueError("unknown topology %r" % self.topology)
         if self.topology == "sphere" and self.nv % 2 != 0:
-            raise ValueError("sphere topology needs an even nv for the pole stencil")
+            raise BadParams("sphere topology needs an even nv for the pole stencil")
+        # a periodic axis of fewer than 3 nodes has coinciding stencil
+        # neighbours, so every first derivative along it is zero; the sphere's
+        # pole rebuild in _padded reads three rows past each pole
+        min_nu = 4 if self.topology == "sphere" else 3
+        if self.nu < min_nu or self.nv < 3:
+            raise BadParams("a %s grid needs nu >= %d and nv >= 3, got %d x %d"
+                            % (self.topology, min_nu, self.nu, self.nv))
 
     @property
     def du(self) -> float:
@@ -142,14 +149,13 @@ def _d2(ext: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def batch_jets(surface: GridSurface, components_first: bool = False):
-    """Finite-difference jets on all jet-valid rows.
+def batch_jets(surface: GridSurface):
+    """Finite-difference jets on all jet-valid rows, component-major.
 
-    Returns (position, first, second) with shapes (r, nv, d), (r, nv, 2, d),
-    (r, nv, 2, 2, d) where r = number of valid rows.  With components_first
-    the same values come in component-major layout, (d, r, nv),
-    (2, d, r, nv) and (2, 2, d, r, nv): the flow's hot loop takes its dot
-    products over whole (r, nv) planes.
+    Returns (position, first, second) with shapes (d, r, nv), (2, d, r, nv)
+    and (2, 2, d, r, nv), where r = number of valid rows: the small axes
+    lead and the grid axes trail, so the flow's dot products run over whole
+    (r, nv) planes.  A single point's slice [..., i, j] is a Jet2.
     """
     s = np.moveaxis(surface.samples, -1, 0)
     rows = surface.valid_rows
@@ -169,10 +175,7 @@ def batch_jets(surface: GridSurface, components_first: bool = False):
     _d1(_d1(euv[:, r0:r1 + 4], 2, surface.dv), 1, surface.du, second[0, 1])
     second[1, 0] = second[0, 1]
     _d2(ev, 2, surface.dv, second[1, 1])
-    if components_first:
-        return pos, first, second
-    return tuple(np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
-                 for x in (pos, first, second))
+    return pos, first, second
 
 
 def discrete_jet(surface: GridSurface, i: int, j: int) -> Jet2:
@@ -180,6 +183,4 @@ def discrete_jet(surface: GridSurface, i: int, j: int) -> Jet2:
     vr = surface.valid_rows
     if not (vr.start <= i < vr.stop):
         raise PoleRow("row %d is a pole row" % i)
-    pos, first, second = batch_jets(surface)
-    r = i - vr.start
-    return Jet2(pos[r, j], first[r, j], second[r, j])
+    return Jet2(*(x[..., i - vr.start, j] for x in batch_jets(surface)))

@@ -6,7 +6,9 @@ forms are the catalogued simplifications.  Tests compare the two on large
 random populations — the closed forms are claims under test, never a
 substitute for the oracle.  The batched primitives take h point-major,
 (..., n, n, k), and evaluate their index sums component-major, over whole
-batch planes; see the section header below.
+batch planes; see the section header below.  gradient_margins reads
+batch_geometry's component-major fields (small axes first, grid axes last)
+as they are.
 
 Conventions (all in orthonormal frames):
     S_{ab}     = sum_{ij} h_{ija} h_{ijb}
@@ -220,43 +222,6 @@ def kperp_checks(h, kbar: float = 1.0) -> KperpChecks:
 # discrete gradient margins
 
 @dataclass
-class CurvatureField:
-    """Gridded pointwise geometry for covariant-difference estimates.
-
-    h:           (nu, nv, n, n, k) components in the local orthonormal frames
-    chart_coeff: (nu, nv, n, n) with e_i = sum_a C_{ia} dF_a
-    tangent:     (nu, nv, n, m+1) ambient tangent frames
-    normal:      (nu, nv, k, m+1) ambient normal frames
-    du, dv:      chart spacings
-    wrap_u/v:    periodicity flags; a non-periodic axis loses its two
-                 boundary rows/columns in the output.
-    """
-
-    h: np.ndarray
-    chart_coeff: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
-    du: float
-    dv: float
-    wrap_u: bool
-    wrap_v: bool
-
-    @classmethod
-    def from_batch(cls, geom: BatchGeometry, du: float, dv: float,
-                   wrap_u: bool, wrap_v: bool) -> "CurvatureField":
-        return cls(
-            h=geom.h,
-            chart_coeff=geom.chart_coeff,
-            tangent=geom.tangent,
-            normal=geom.normal,
-            du=du,
-            dv=dv,
-            wrap_u=wrap_u,
-            wrap_v=wrap_v,
-        )
-
-
-@dataclass
 class GradientMargins:
     m1: np.ndarray
     m2: np.ndarray
@@ -345,8 +310,9 @@ def _symmetrize3(t: np.ndarray) -> np.ndarray:
     ) / 6.0
 
 
-def gradient_margins(field: CurvatureField) -> GradientMargins:
-    """Pointwise gradient-inequality margins on a gridded field.
+def gradient_margins(geom: BatchGeometry, du: float, dv: float,
+                     wrap_u: bool) -> GradientMargins:
+    """Pointwise gradient-inequality margins of a gridded geometry.
 
     m1 = |grad A|^2 - 3/(n+2) |grad H|^2
     m2 = (|grad A|^2 - |grad H|^2/n) - 2(n-1)/(3n) |grad A|^2
@@ -354,31 +320,23 @@ def gradient_margins(field: CurvatureField) -> GradientMargins:
 
     grad h is estimated by frame-aligned central differences (second
     order), converted to orthonormal tangent directions through the chart
-    coefficients, and totally symmetrized.  The work runs on component-major
-    views of the field (grid axes last), which for batch_geometry's output
-    are its own storage.
+    coefficients, and totally symmetrized.
+
+    geom is batch_geometry's output on an (nu, nv) grid of chart nodes.  The
+    v axis is periodic; so is u when wrap_u, and otherwise the two boundary
+    rows have no central difference and are left out of the output.
     """
-    nu, nv = field.h.shape[:2]
-    need_u = 0 if field.wrap_u else 1
-    need_v = 0 if field.wrap_v else 1
-    if nu < 2 * need_u + 1 or nv < 2 * need_v + 1:
+    h, tangent, normal = geom.h, geom.tangent, geom.normal
+    if not wrap_u and h.shape[-2] < 3:
         raise InsufficientStencil("grid too small for central differences")
 
-    def component_major(x):
-        return np.ascontiguousarray(np.moveaxis(x, (0, 1), (-2, -1)))
+    chart = np.stack([_aligned_difference(h, tangent, normal, 0, du),
+                      _aligned_difference(h, tangent, normal, 1, dv)])
+    grad = _symmetrize3(np.einsum("qc...,cija...->qija...", geom.chart_coeff, chart))
+    if not wrap_u:
+        grad = grad[..., 1:-1, :]
 
-    h, tangent, normal, coeff = (component_major(x) for x in
-                                 (field.h, field.tangent, field.normal, field.chart_coeff))
-
-    chart = np.stack([_aligned_difference(h, tangent, normal, 0, field.du),
-                      _aligned_difference(h, tangent, normal, 1, field.dv)])
-    grad = _symmetrize3(np.einsum("qc...,cija...->qija...", coeff, chart))
-
-    usl = slice(need_u, nu - need_u) if need_u else slice(None)
-    vsl = slice(need_v, nv - need_v) if need_v else slice(None)
-    grad = grad[..., usl, vsl]
-
-    n = field.h.shape[2]
+    n = geom.n
     grad_a2 = np.einsum("qija...,qija...->...", grad, grad)
     grad_h = np.trace(grad, axis1=1, axis2=2)  # (q, a, ...)
     grad_h2 = np.einsum("qa...,qa...->...", grad_h, grad_h)
@@ -386,7 +344,7 @@ def gradient_margins(field: CurvatureField) -> GradientMargins:
     m1 = grad_a2 - (3.0 / (n + 2)) * grad_h2
     m2 = (grad_a2 - grad_h2 / n) - (2.0 * (n - 1) / (3.0 * n)) * grad_a2
     m3 = None
-    if n == 2 and field.h.shape[-1] == 2:
+    if n == 2 and geom.k == 2:
         # sum_qp (d_q h_{1p1} d_q h_{2p2} - d_q h_{1p2} d_q h_{2p1})
         evol = np.einsum("qp...,qp...->...", grad[:, 0, :, 0], grad[:, 1, :, 1]) - \
             np.einsum("qp...,qp...->...", grad[:, 0, :, 1], grad[:, 1, :, 0])

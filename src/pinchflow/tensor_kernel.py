@@ -10,8 +10,10 @@ Background curvature other than 1 is handled by exact rescaling (lengths
 scale by 1/sqrt(kbar), squared curvatures by kbar); there is no second code
 path for non-unit spheres.
 
-batch_geometry operates on arrays with arbitrary leading shape; a single jet
-is the case of an empty batch shape.
+batch_geometry works component-major: the small axes (ambient, tangent,
+normal) lead and the batch axes trail, so each contraction is a sum of
+products of whole batch planes.  A single jet is the case of an empty batch
+shape, where the two layouts coincide.
 """
 
 from __future__ import annotations
@@ -63,9 +65,11 @@ class Jet2:
 class BatchGeometry:
     """Extrinsic geometry of jets over an arbitrary batch shape.
 
-    All arrays share the leading batch shape, which is empty for a single
-    jet; `kperp`/`gauss` are None when (n, k) != (2, 2) / n != 2
-    respectively.
+    Component-major: every array ends in the batch shape, which is empty
+    for a single jet, behind its small axes: metric and chart_coeff
+    (n, n, ...), tangent (n, m+1, ...), normal (k, m+1, ...), h
+    (n, n, k, ...), mean (k, ...), and one value per point for the scalars.
+    `kperp`/`gauss` are None when (n, k) != (2, 2) / n != 2 respectively.
     """
 
     metric: np.ndarray
@@ -83,11 +87,11 @@ class BatchGeometry:
 
     @property
     def n(self) -> int:
-        return self.h.shape[-3]
+        return self.h.shape[0]
 
     @property
     def k(self) -> int:
-        return self.h.shape[-1]
+        return self.h.shape[2]
 
 
 def _dot(a, b):
@@ -137,21 +141,17 @@ def _orthonormal_normals(position, tangent, k):
 def batch_geometry(position, first, second, kbar: float = 1.0) -> BatchGeometry:
     """Compute extrinsic geometry for a batch of second-order jets.
 
-    position: (..., m+1); first: (..., n, m+1); second: (..., n, n, m+1).
-    The work runs component-major, with the small axes (ambient, tangent,
-    normal) in front, so each contraction is a sum of products of whole
-    batch planes; inputs that are point-major views of component-major
-    arrays (the flow monitor's jets) are read without a copy.  The returned
-    fields are point-major views of that storage.
+    Component-major, as batch_jets returns them: position (m+1, ...),
+    first (n, m+1, ...), second (n, n, m+1, ...); the returned fields keep
+    that layout.
 
     The tangent frame is Gram-Schmidt of the chart partials in index order:
     dF_i = sum_j L_ij e_j with L lower triangular, gram = L L^T, and the
     chart coefficients C = L^{-1} give e_i = sum_a C_ia dF_a.
     """
-    pos = np.ascontiguousarray(np.moveaxis(np.asarray(position, dtype=float), -1, 0))
-    fst = np.ascontiguousarray(np.moveaxis(np.asarray(first, dtype=float), (-2, -1), (0, 1)))
-    sec = np.ascontiguousarray(
-        np.moveaxis(np.asarray(second, dtype=float), (-3, -2, -1), (0, 1, 2)))
+    pos = np.asarray(position, dtype=float)
+    fst = np.asarray(first, dtype=float)
+    sec = np.asarray(second, dtype=float)
     n, m1 = fst.shape[:2]
     k = m1 - 1 - n
     if k < 1:
@@ -216,12 +216,12 @@ def batch_geometry(position, first, second, kbar: float = 1.0) -> BatchGeometry:
         gauss = kbar + (normH2 - normA2) / 2.0
 
     return BatchGeometry(
-        metric=np.moveaxis(gram, (0, 1), (-2, -1)),
-        tangent=np.moveaxis(tangent, (0, 1), (-2, -1)),
-        normal=np.moveaxis(normal, (0, 1), (-2, -1)),
-        chart_coeff=np.moveaxis(coeff, (0, 1), (-2, -1)),
-        h=np.moveaxis(h, (0, 1, 2), (-3, -2, -1)),
-        mean=np.moveaxis(mean, 0, -1),
+        metric=gram,
+        tangent=tangent,
+        normal=normal,
+        chart_coeff=coeff,
+        h=h,
+        mean=mean,
         normA2=normA2,
         normH2=normH2,
         normTracelessA2=traceless,

@@ -18,9 +18,9 @@ from pinchflow.canonical import batch_jets, make_surface, perturb, sample_grid
 from pinchflow.cli import main as cli_main
 from pinchflow.flow import FlowConfig, run, sphere_ode_oracle
 from pinchflow.frames import specialize
-from pinchflow.identities import (CurvatureField, gradient_margins,
-                                  kperp_checks, kperp_scalar, norms_batch,
-                                  r1_batch, rm_perp_squared, z_brute_batch)
+from pinchflow.identities import (gradient_margins, kperp_checks,
+                                  kperp_scalar, norms_batch, r1_batch,
+                                  rm_perp_squared, z_brute_batch)
 from pinchflow.pinching import ConeParams, blowup_time, harnack_bound
 from pinchflow.tensor_kernel import batch_geometry, point_geometry
 
@@ -204,11 +204,9 @@ def test_criterion_08_pinching_preservation():
 
 
 def test_criterion_09_gradient_inequalities():
-    def field_of(g):
-        pos, first, second = batch_jets(g)
-        geom = batch_geometry(pos, first, second)
-        return CurvatureField.from_batch(geom, g.du, g.dv,
-                                         g.topology == "torus", True)
+    def margins_of(g):
+        geom = batch_geometry(*batch_jets(g))
+        return gradient_margins(geom, g.du, g.dv, g.topology == "torus")
 
     grids = [
         sample_grid(make_surface("clifford"), 128, 128),
@@ -221,7 +219,7 @@ def test_criterion_09_gradient_inequalities():
     ]
     worst = np.inf
     for g in grids:
-        m = gradient_margins(field_of(g))
+        m = margins_of(g)
         worst = min(worst, m.m1.min(), m.m2.min(), m.m3.min())
     ok = worst >= -1e-6
     _report(9, "gradient-inequalities", ok, "worst margin %.3e" % worst)

@@ -57,6 +57,18 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config keys: bogus_knob" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "not_json", "not_object"])
+def test_bad_config_file_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    rc = main(["verify", "--config", str(cfg), "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(cfg) in err
+
+
 def test_canonical_veronese(tmp_path, capsys):
     rc = main(["canonical", "--surface", "veronese",
                "--output-dir", str(tmp_path)])
@@ -151,7 +163,14 @@ def test_report_flags_unreadable_artifact(tmp_path, capsys):
     ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--stride", "0"],
     ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--stride", "-5"],
     ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--flat-window", "0"],
-], ids=["trials0", "trials-3", "stride0", "stride-5", "flat_window0"])
+    ["flow", "--surface", "geodesic-sphere", "--nv", "15"],
+    ["flow", "--surface", "geodesic-sphere", "--nu", "3", "--nv", "8"],
+    ["flow", "--surface", "geodesic-sphere", "--nv", "0"],
+    ["flow", "--surface", "geodesic-sphere", "--nu", "4", "--nv", "2"],
+    ["flow", "--surface", "flat-torus", "--nu", "0"],
+    ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "2"],
+], ids=["trials0", "trials-3", "stride0", "stride-5", "flat_window0", "sphere_nv15",
+        "sphere_nu3", "sphere_nv0", "sphere_nv2", "torus_nu0", "torus_nv2"])
 def test_bad_counts_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--output-dir", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err

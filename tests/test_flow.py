@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import pinchflow.flow
 from pinchflow.canonical import make_surface, sample_grid
 from pinchflow.errors import Extinct
 from pinchflow.flow import (CSV_HEADER, FlowConfig, FlowState, mcf_velocity,
                             monitor, read_snapshot, run,
                             sphere_extinction_time, sphere_ode_oracle, step,
                             write_monitor_csv, write_snapshot)
+from pinchflow.grids import batch_jets
 from pinchflow.pinching import ConeParams
 
 
@@ -54,7 +56,7 @@ def test_velocity_magnitude_geodesic_sphere():
 def test_step_equator_is_fixed_point():
     grid = geodesic_grid(np.pi / 2, 32, 64)
     state = FlowState(0.0, 0, grid.copy_with(grid.samples.copy()), 0.0)
-    out = step(state, "euler", 0.2, 1e6)
+    out = step(state, batch_jets(state.surface), "euler", 0.2, 1e6)
     assert np.abs(out.surface.samples - grid.samples).max() <= 1e-8
     assert out.step_index == 1
     # a2_max = 0 on the equator, so the max(1, .) floor kicks in
@@ -64,7 +66,7 @@ def test_step_equator_is_fixed_point():
 def test_step_dt_formula():
     grid = geodesic_grid(np.pi / 3, 64, 128)
     state = FlowState(0.0, 0, grid.copy_with(grid.samples.copy()), 0.0)
-    out = step(state, "euler", 0.2, 1e6)
+    out = step(state, batch_jets(state.surface), "euler", 0.2, 1e6)
     # a2_max = 2/3 < 1 for this cap, floor again active
     assert out.dt_last == 0.2 * min(grid.du, grid.dv) ** 2
     assert out.t == out.dt_last
@@ -104,7 +106,7 @@ def test_run_cfl_too_large_blows_up():
 
 def test_monitor_without_cone():
     grid = geodesic_grid(np.pi / 3, 64, 128)
-    rec = monitor(grid, FlowConfig(), 0.0)
+    rec = monitor(grid, batch_jets(grid), FlowConfig(), 0.0)
     assert np.isnan(rec.q_min) and np.isnan(rec.q_max)
     assert abs(rec.ratio_max - 0.5) < 1e-9  # |A|^2/|H|^2 on any round cap
     assert abs(rec.kperp_min) < 1e-9 and abs(rec.kperp_max) < 1e-9
@@ -114,7 +116,8 @@ def test_monitor_without_cone():
 
 def test_monitor_grad_ratio_nan_without_stencil():
     # 4 rows leave 2 jet rows between the poles: too few for central differences
-    rec = monitor(geodesic_grid(np.pi / 3, 4, 8), FlowConfig(), 0.0)
+    grid = geodesic_grid(np.pi / 3, 4, 8)
+    rec = monitor(grid, batch_jets(grid), FlowConfig(), 0.0)
     assert np.isnan(rec.grad_ratio)
     assert rec.area > 0.0
 
@@ -123,7 +126,7 @@ def test_monitor_with_cone_and_harnack():
     grid = geodesic_grid(np.pi / 3, 64, 128)
     cfg = FlowConfig(cone=ConeParams("thm1", n=2),
                      harnack_csharp=1.0, harnack_delta0=0.1)
-    rec = monitor(grid, cfg, 0.0)
+    rec = monitor(grid, batch_jets(grid), cfg, 0.0)
     assert abs(rec.q_max - (-11.0 / 9.0)) < 1e-5
     assert abs(rec.q_min - (-11.0 / 9.0)) < 1e-5
     assert rec.harnack_violations == 0
@@ -131,10 +134,36 @@ def test_monitor_with_cone_and_harnack():
         assert key in rec.indices
 
 
+def test_monitor_cone_uses_the_flow_kbar():
+    # Q = |A|^2 - alpha |H|^2 - beta kbar is homogeneous of degree 2 under the
+    # rescaling that batch_geometry applies for kbar
+    grid = geodesic_grid(np.pi / 3, 32, 64)
+    jets = batch_jets(grid)
+    q = [monitor(grid, jets, FlowConfig(kbar=kbar, cone=ConeParams("thm1", n=2)), 0.0).q_max
+         for kbar in (1.0, 4.0)]
+    assert abs(q[1] - 4.0 * q[0]) <= 1e-12 * abs(4.0 * q[0])
+
+
+def test_run_evaluates_jets_once_per_step(monkeypatch):
+    calls = []
+
+    def counted(surface):
+        calls.append(surface)
+        return batch_jets(surface)
+
+    monkeypatch.setattr(pinchflow.flow, "batch_jets", counted)
+    grid = sample_grid(make_surface("flat-torus"), 16, 16)
+    res = run(grid, FlowConfig(cone=ConeParams("thm1", n=2), stride=1, t_max=0.1))
+    steps = res.final_state.step_index
+    assert steps > 1 and len(res.records) == steps + 1
+    assert len(calls) <= steps + 2
+
+
 def test_monitor_csv_deterministic(tmp_path):
     grid = geodesic_grid(np.pi / 3, 32, 64)
     cfg = FlowConfig()
-    recs = [monitor(grid, cfg, 0.0), monitor(grid, cfg, 0.1)]
+    jets = batch_jets(grid)
+    recs = [monitor(grid, jets, cfg, 0.0), monitor(grid, jets, cfg, 0.1)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_monitor_csv(recs, p1)
     write_monitor_csv(recs, p2)

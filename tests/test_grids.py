@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pinchflow.canonical import make_surface, sample_grid
-from pinchflow.errors import PoleRow
+from pinchflow.errors import BadParams, PoleRow
 from pinchflow.grids import batch_jets, discrete_jet
 from pinchflow.tensor_kernel import batch_geometry, point_geometry
 
@@ -63,9 +63,9 @@ def test_discrete_jet_matches_batch_row():
     pos, first, second = batch_jets(grid)
     jet = discrete_jet(grid, 7, 11)
     # batch arrays cover valid rows only: batch row 6 is grid row 7
-    assert np.array_equal(jet.position, pos[6, 11])
-    assert np.array_equal(jet.first_derivs, first[6, 11])
-    assert np.array_equal(jet.second_derivs, second[6, 11])
+    assert np.array_equal(jet.position, pos[:, 6, 11])
+    assert np.array_equal(jet.first_derivs, first[:, :, 6, 11])
+    assert np.array_equal(jet.second_derivs, second[:, :, :, 6, 11])
     g = point_geometry(jet)
     assert abs(g.normA2 - 4.0 / 3.0) < 1e-3
 
@@ -87,13 +87,15 @@ def test_grid_spacing_metadata():
     assert abs(tor.dv - 2 * np.pi / 20) < 1e-15
 
 
-def test_components_first_is_the_same_jet():
-    # the flow stepper's component-major jets hold exactly the point-major values
-    for grid in (sample_grid(make_surface("veronese"), 16, 24),
-                 sample_grid(make_surface("flat-torus"), 12, 20)):
-        pm = batch_jets(grid)
-        cm = batch_jets(grid, components_first=True)
-        assert cm[0].shape == (5,) + pm[0].shape[:2]
-        assert np.array_equal(np.moveaxis(cm[0], 0, -1), pm[0])
-        assert np.array_equal(np.moveaxis(cm[1], (0, 1), (-2, -1)), pm[1])
-        assert np.array_equal(np.moveaxis(cm[2], (0, 1, 2), (-3, -2, -1)), pm[2])
+
+def test_minimum_grid_sizes():
+    # the smallest grids that give a nondegenerate jet, and the next size down
+    cases = (("geodesic-sphere", (4, 4), [(3, 4), (4, 2)]),
+             ("flat-torus", (3, 3), [(2, 3), (3, 2)]))
+    for kind, size, smaller in cases:
+        surf = make_surface(kind)
+        geom = batch_geometry(*batch_jets(sample_grid(surf, *size)))
+        assert np.isfinite(geom.normA2).all()
+        for nu, nv in smaller:
+            with pytest.raises(BadParams):
+                sample_grid(surf, nu, nv)

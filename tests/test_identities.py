@@ -11,11 +11,10 @@ import pytest
 from pinchflow.canonical import make_surface, perturb, sample_grid
 from pinchflow.errors import BadDims, InsufficientStencil
 from pinchflow.grids import batch_jets
-from pinchflow.identities import (CurvatureField, gradient_margins,
-                                  kperp_checks, kperp_scalar, mean_vector,
-                                  norms_batch, r1_batch, r2_batch,
-                                  reaction_terms, rm_perp_squared, s_matrix,
-                                  z_brute_batch)
+from pinchflow.identities import (gradient_margins, kperp_checks,
+                                  kperp_scalar, mean_vector, norms_batch,
+                                  r1_batch, r2_batch, reaction_terms,
+                                  rm_perp_squared, s_matrix, z_brute_batch)
 from pinchflow.tensor_kernel import batch_geometry
 
 
@@ -276,18 +275,16 @@ def test_kperp_checks_rejects_wrong_dims():
 
 # --- gradient margins on discrete fields -----------------------------------
 
-def field_of(grid):
-    pos, first, second = batch_jets(grid)
-    geom = batch_geometry(pos, first, second)
-    return CurvatureField.from_batch(geom, grid.du, grid.dv,
-                                     grid.topology == "torus", True)
+def margins_of(grid):
+    geom = batch_geometry(*batch_jets(grid))
+    return gradient_margins(geom, grid.du, grid.dv, grid.topology == "torus")
 
 
 def test_margins_vanish_on_parallel_fields():
     # parallel second fundamental form: all gradients are discretization noise
     for kind in ["clifford", "geodesic-sphere"]:
         grid = sample_grid(make_surface(kind), 64, 64)
-        m = gradient_margins(field_of(grid))
+        m = margins_of(grid)
         assert np.abs(m.m1).max() < 1e-8
         assert np.abs(m.m2).max() < 1e-8
         assert np.abs(m.m3).max() < 1e-8
@@ -298,7 +295,7 @@ def test_margins_nonnegative_on_perturbed_fields():
     geo = perturb(make_surface("geodesic-sphere"), (2, 2), 0.01, 64, 64)
     ver = perturb(make_surface("veronese"), (3, 2), 0.02, 64, 64, direction=1)
     for grid in (geo, ver):
-        m = gradient_margins(field_of(grid))
+        m = margins_of(grid)
         assert m.m1.min() >= -1e-6
         assert m.m2.min() >= -1e-6
         assert m.m3.min() >= -1e-6
@@ -308,8 +305,7 @@ def test_margins_m2_is_fixed_fraction_of_m1_pieces():
     # m2 = (|grad A|^2 - |grad H|^2/2) - (1/3)|grad A|^2 for n = 2; check the
     # arithmetic relation m2 = m1/3 + (1/2 - 1/6)... via independent recompute
     grid = perturb(make_surface("geodesic-sphere"), (2, 2), 0.05, 48, 48)
-    fld = field_of(grid)
-    m = gradient_margins(fld)
+    m = margins_of(grid)
     # reconstruct from the reported gradient norms
     ga2, gh2 = m.grad_a2, m.grad_h2
     m1_ref = ga2 - 0.75 * gh2
@@ -320,11 +316,8 @@ def test_margins_m2_is_fixed_fraction_of_m1_pieces():
 
 def test_margins_insufficient_stencil():
     grid = sample_grid(make_surface("geodesic-sphere"), 4, 16)
-    pos, first, second = batch_jets(grid)
-    geom = batch_geometry(pos, first, second)
-    fld = CurvatureField.from_batch(geom, grid.du, grid.dv, False, True)
     with pytest.raises(InsufficientStencil):
-        gradient_margins(fld)
+        margins_of(grid)
 
 
 # --- brute-route oracle for the monitor kernels ------------------------------
@@ -414,12 +407,13 @@ def test_monitor_kernels_match_point_major_reference(grid):
     not by the ratio of two roundoffs."""
     wrap_u = grid.topology == "torus"
     pos, first, second = batch_jets(grid)
-    ref = _reference_geometry(pos, first, second)
+    # the reference works point-major: (rows, cols, ...) with the small axes last
+    ref = _reference_geometry(np.moveaxis(pos, 0, -1), np.moveaxis(first, (0, 1), (-2, -1)),
+                              np.moveaxis(second, (0, 1, 2), (-3, -2, -1)))
     ref.update(_reference_margins(ref, grid.du, grid.dv, wrap_u))
     geom = batch_geometry(pos, first, second)
     got = {"normA2": geom.normA2, "normH2": geom.normH2, "kperp": geom.kperp}
-    margins = gradient_margins(CurvatureField.from_batch(geom, grid.du, grid.dv,
-                                                         wrap_u, True))
+    margins = gradient_margins(geom, grid.du, grid.dv, wrap_u)
     got.update(grad_a2=margins.grad_a2, m1=margins.m1, m2=margins.m2, m3=margins.m3)
     a2 = ref["normA2"].max()
     for name, value in got.items():

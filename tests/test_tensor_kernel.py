@@ -136,7 +136,7 @@ def test_batch_matches_pointwise():
     v = grid.v_values
     for it in range(0, len(u), 7):
         for jt in range(0, len(v), 5):
-            jet = Jet2(pos[it, jt], first[it, jt], second[it, jt])
+            jet = Jet2(pos[:, it, jt], first[:, :, it, jt], second[:, :, :, it, jt])
             g = point_geometry(jet)
             assert abs(bg.normA2[it, jt] - g.normA2) < 1e-12
             assert abs(bg.normH2[it, jt] - g.normH2) < 1e-12
