@@ -315,7 +315,11 @@ def _analytic_normals(surface: CanonicalSurface, uu, vv) -> np.ndarray:
 
 
 def sample_grid(surface: CanonicalSurface, nu: int, nv: int) -> GridSurface:
-    """Sample the chart on the standard grid for its topology."""
+    """Sample the chart on the standard grid for its topology.
+
+    The samples are component-major, (ambient_dim, nu, nv), as GridSurface
+    stores them; the chart itself evaluates point-major.
+    """
     if surface.topology == "torus":
         u = 2.0 * np.pi * np.arange(nu) / nu
     else:
@@ -324,7 +328,8 @@ def sample_grid(surface: CanonicalSurface, nu: int, nv: int) -> GridSurface:
     uu, vv = np.meshgrid(u, v, indexing="ij")
     pos, _, _ = surface.chart(uu, vv)
     meta = {"kind": surface.kind, **surface.params}
-    return GridSurface(surface.topology, nu, nv, pos, meta)
+    return GridSurface(surface.topology, nu, nv,
+                       np.ascontiguousarray(np.moveaxis(pos, -1, 0)), meta)
 
 
 def perturb(surface: CanonicalSurface, mode=(2, 2), amplitude: float = 0.0,
@@ -361,7 +366,7 @@ def perturb(surface: CanonicalSurface, mode=(2, 2), amplitude: float = 0.0,
     moved = pos + disp[..., None] * nvec
     moved /= np.linalg.norm(moved, axis=-1, keepdims=True)
     samples = grid.samples.copy()
-    samples[vr] = moved
+    samples[:, vr] = np.moveaxis(moved, -1, 0)
     out = grid.copy_with(samples)
     _check_embedded(out)
     return out
@@ -376,19 +381,19 @@ def _check_embedded(grid: GridSurface):
         raise DegenerateAfterPerturb(str(exc)) from exc
 
     p = grid.samples
-    e1 = np.diff(p, axis=0)
+    e1 = np.diff(p, axis=1)
     if grid.topology == "torus":
-        e1 = np.concatenate([e1, (p[:1] - p[-1:])], axis=0)
+        e1 = np.concatenate([e1, (p[:, :1] - p[:, -1:])], axis=1)
         anchor = slice(None)
     else:
         # pole rows collapse to points; anchor cells on interior rows only
         anchor = slice(1, grid.nu - 1)
-    e2 = np.roll(p, -1, axis=1) - p
-    a = e1[anchor]
-    b = e2[anchor]
-    g11 = np.einsum("...m,...m->...", a, a)
-    g22 = np.einsum("...m,...m->...", b, b)
-    g12 = np.einsum("...m,...m->...", a, b)
+    e2 = np.roll(p, -1, axis=2) - p
+    a = e1[:, anchor]
+    b = e2[:, anchor]
+    g11 = np.einsum("m...,m...->...", a, a)
+    g22 = np.einsum("m...,m...->...", b, b)
+    g12 = np.einsum("m...,m...->...", a, b)
     area2 = g11 * g22 - g12 * g12
     med = np.median(area2)
     if med <= 0 or area2.min() <= 1e-3 * med:

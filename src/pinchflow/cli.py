@@ -368,7 +368,7 @@ def build_parser():
     _add_cone_flags(p)
     p.add_argument("--resolution", type=int, default=200)
     p.add_argument("--refine-rounds", type=int, default=3)
-    p.add_argument("--chunk", type=int, default=131072)
+    p.add_argument("--chunk", type=int, default=SweepGrid.chunk)
     p.add_argument("--stratum", choices=["full", "hzero"], default="full")
     p.add_argument("--no-bisect", action="store_true")
     p.add_argument("--discriminant", action="store_true",

@@ -11,17 +11,20 @@ usual cure for the pole clustering of such grids).
 The time stepper uses a lean velocity evaluation (projection of the
 chart-trace of the second derivatives onto the normal space), which needs no
 normal frames; full frame-based geometry is computed only at monitor strides.
-Everything between the jets and the monitor record is component-major, the
-small axes first and the grid axes last, so dot products, FFTs and frame
-contractions run over whole grid planes; the surfaces step returns keep the
-(nu, nv, ambient_dim) layout of GridSurface.  run evaluates each surface's
-jets once and hands the same tuple to monitor and to the next step.
+Everything from the grid samples to the monitor record is component-major,
+the small axes first and the grid axes last, so stencils, dot products, FFTs
+and frame contractions run over whole grid planes; a step copies the samples
+once and updates that copy in place.  The tables that depend only on the
+grid shape (the stencil gather and the zonal mode mask) are built once per
+shape.  run evaluates each surface's jets once and hands the same tuple to
+monitor and to the next step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,6 +99,9 @@ class FlowConfig:
             raise BadParams("cfl and t_max must be positive")
         if self.stride < 1 or self.flat_window < 1:
             raise BadParams("stride and flat_window must be at least 1")
+        if not (math.isfinite(self.kbar) and self.kbar > 0):
+            # the monitor divides the metric by kbar and rescales by sqrt(kbar)
+            raise BadParams("kbar must be a finite positive number")
         if (self.harnack_csharp is None) != (self.harnack_delta0 is None):
             raise BadParams("harnack audit needs both csharp and delta0")
         if self.cone is not None:
@@ -160,7 +166,7 @@ def mcf_velocity(surface: GridSurface) -> np.ndarray:
     """Mean curvature vector field within the sphere, zero on pole rows."""
     vel, _ = _lean_velocity(*batch_jets(surface))
     out = np.zeros_like(surface.samples)
-    out[surface.valid_rows] = np.moveaxis(vel, 0, -1)
+    out[:, surface.valid_rows] = vel
     return out
 
 
@@ -168,7 +174,9 @@ def mcf_velocity(surface: GridSurface) -> np.ndarray:
 # stepping (component-major samples: (ambient_dim, nu, nv))
 
 def _unit(samples: np.ndarray) -> np.ndarray:
-    return samples / np.sqrt((samples * samples).sum(axis=0))
+    """Renormalize samples onto the unit sphere in place."""
+    samples /= np.sqrt((samples * samples).sum(axis=0))
+    return samples
 
 
 def _refresh_poles(samples: np.ndarray) -> None:
@@ -178,31 +186,41 @@ def _refresh_poles(samples: np.ndarray) -> None:
         samples[:, row] = mean[:, None]
 
 
-def _zonal_filter(samples: np.ndarray, u_values: np.ndarray, frac: float) -> np.ndarray:
-    """Zero longitudinal Fourier modes beyond the local resolvable band.
+@lru_cache(maxsize=32)
+def _zonal_mask(nu: int, nv: int) -> np.ndarray:
+    """Longitudinal modes _zonal_filter keeps on an nu x nv sphere grid.
 
-    Row i keeps modes m <= max(1, floor(frac * (nv/2) * sin u_i)): the mode
-    count a latitude circle of radius sin(u) can support shrinks toward the
-    poles, and unfiltered grids go unstable there long before the interior.
+    Row i keeps modes m <= max(1, floor(FILTER_FRACTION * (nv/2) * sin u_i)):
+    the mode count a latitude circle of radius sin(u) can support shrinks
+    toward the poles, and unfiltered grids go unstable there long before the
+    interior.  Returns a read-only (nu, nv // 2 + 1) boolean mask.
     """
-    nv = samples.shape[-1]
-    spec = np.fft.rfft(samples, axis=-1)
-    mmax = np.floor(frac * (nv / 2.0) * np.abs(np.sin(u_values))).astype(int)
+    u = np.arange(nu) * (np.pi / (nu - 1))  # GridSurface.u_values of a sphere grid
+    mmax = np.floor(FILTER_FRACTION * (nv / 2.0) * np.abs(np.sin(u))).astype(int)
     mmax = np.maximum(mmax, 1)
-    modes = np.arange(spec.shape[-1])
-    mask = modes[None, :] <= mmax[:, None]
-    return np.fft.irfft(spec * mask, n=nv, axis=-1)
+    mask = np.arange(nv // 2 + 1)[None, :] <= mmax[:, None]
+    mask.flags.writeable = False
+    return mask
+
+
+def _zonal_filter(samples: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Zero the longitudinal Fourier modes outside mask (see _zonal_mask).
+
+    samples is (d, nu, nv); returns a new array of the same shape.
+    """
+    spec = np.fft.rfft(samples, axis=-1)
+    spec *= mask
+    return np.fft.irfft(spec, n=samples.shape[-1], axis=-1)
 
 
 def _advance(surface: GridSurface, vel_valid: np.ndarray, dt: float) -> GridSurface:
     """Move the valid rows by dt * vel_valid (d, r, nv) and restabilize."""
-    samples = np.moveaxis(surface.samples, -1, 0).copy()
+    samples = surface.samples.copy()
     samples[:, surface.valid_rows] += dt * vel_valid
     if surface.topology == "sphere":
         _refresh_poles(samples)
-        samples = _zonal_filter(_unit(samples), surface.u_values, FILTER_FRACTION)
-    samples = _unit(samples)
-    return surface.copy_with(np.ascontiguousarray(np.moveaxis(samples, 0, -1)))
+        samples = _zonal_filter(_unit(samples), _zonal_mask(surface.nu, surface.nv))
+    return surface.copy_with(_unit(samples))
 
 
 def step(state: FlowState, jets, scheme: str = "euler", cfl: float = 0.2,
@@ -367,7 +385,7 @@ def monitor(surface: GridSurface, jets, cfg: FlowConfig, t: float) -> MonitorRec
 # driver
 
 def _mean_radius(surface: GridSurface, axis: int) -> float:
-    dots = surface.samples[surface.valid_rows, :, axis]
+    dots = surface.samples[axis, surface.valid_rows]
     return float(np.mean(np.arccos(np.clip(dots, -1.0, 1.0))))
 
 
@@ -479,7 +497,7 @@ def write_snapshot(surface: GridSurface, path, t: float = 0.0) -> None:
                     repr(float(t))))
         for i in range(surface.nu):
             for j in range(surface.nv):
-                coords = " ".join(repr(float(x)) for x in surface.samples[i, j])
+                coords = " ".join(repr(float(x)) for x in surface.samples[:, i, j])
                 fh.write("%d %d %s\n" % (i, j, coords))
 
 
@@ -496,7 +514,7 @@ def read_snapshot(path) -> GridSurface:
             rows.append((int(parts[0]), int(parts[1]),
                          [float(x) for x in parts[2:]]))
     dim = len(rows[0][2])
-    samples = np.zeros((nu, nv, dim))
+    samples = np.zeros((dim, nu, nv))
     for i, j, coords in rows:
-        samples[i, j] = coords
+        samples[:, i, j] = coords
     return GridSurface(fields["topology"], nu, nv, samples, {})

@@ -15,6 +15,7 @@ Derivatives are 4th-order central differences in chart coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,15 +25,25 @@ from .tensor_kernel import Jet2
 
 @dataclass
 class GridSurface:
+    """Samples of a closed surface on a chart grid, component-major.
+
+    samples[:, i, j] is the unit vector at chart node (u_i, v_j): the ambient
+    components lead and the grid axes trail, so every stencil, dot product
+    and FFT of the flow runs over whole (nu, nv) planes.
+    """
+
     topology: str  # "torus" | "sphere"
     nu: int
     nv: int
-    samples: np.ndarray  # (nu, nv, ambient_dim), unit vectors
+    samples: np.ndarray  # (ambient_dim, nu, nv), unit vectors
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.topology not in ("torus", "sphere"):
             raise ValueError("unknown topology %r" % self.topology)
+        if self.samples.shape[1:] != (self.nu, self.nv):
+            raise ValueError("samples must be (ambient_dim, nu, nv) = (d, %d, %d), got %s"
+                             % (self.nu, self.nv, self.samples.shape))
         if self.topology == "sphere" and self.nv % 2 != 0:
             raise BadParams("sphere topology needs an even nv for the pole stencil")
         # a periodic axis of fewer than 3 nodes has coinciding stencil
@@ -72,14 +83,41 @@ class GridSurface:
         return GridSurface(self.topology, self.nu, self.nv, samples, dict(self.meta))
 
 
+@lru_cache(maxsize=32)
+def _stencil_index(topology: str, nu: int, nv: int):
+    """Tables of _padded for one grid shape, built once and read-only.
+
+    Returns (flat, opposite): flat (nu + 4, nv + 4) indexes the flattened
+    (nu * nv) sample planes, padded node (e, f) reading chart node
+    (e - 2, f - 2) through the chart's identifications; opposite (nv,) maps
+    column j to the column half a turn away, j + nv/2 mod nv, for the
+    across-pole sums (None on the torus).
+    """
+    rows = np.arange(-2, nu + 2)
+    cols = np.arange(-2, nv + 2)
+    if topology == "torus":
+        src_rows, shift, opposite = rows % nu, 0, None
+    else:
+        half = nv // 2
+        beyond = (rows < 0) | (rows > nu - 1)
+        src_rows = np.where(rows < 0, -rows, np.where(rows > nu - 1, 2 * (nu - 1) - rows, rows))
+        shift = half * beyond[:, None]
+        opposite = (np.arange(nv) + half) % nv
+        opposite.flags.writeable = False
+    flat = src_rows[:, None] * nv + (cols + shift) % nv
+    flat.flags.writeable = False
+    return flat, opposite
+
+
 def _padded(samples: np.ndarray, topology: str) -> np.ndarray:
     """Samples with two ghost nodes on each side of both chart axes.
 
     Component-major layout: samples is (ambient_dim, nu, nv) and the result
     (ambient_dim, nu + 4, nv + 4), padded node (e, f) holding chart node
-    (e - 2, f - 2).  v is periodic; u is periodic on the torus, and on the
-    sphere the ghost rows beyond both poles come from F(-u, v) = F(u, v + pi):
-    they are exact samples of the same smooth surface, not extrapolations.
+    (e - 2, f - 2), gathered in one pass through the grid's _stencil_index
+    table.  v is periodic; u is periodic on the torus, and on the sphere the
+    ghost rows beyond both poles come from F(-u, v) = F(u, v + pi): they are
+    exact samples of the same smooth surface, not extrapolations.
 
     The stored pole rows themselves are NOT trusted as stencil nodes: a
     pole row holds a single point whatever refresh policy maintains it, and
@@ -90,27 +128,17 @@ def _padded(samples: np.ndarray, topology: str) -> np.ndarray:
         F(0, v) ~ (15 A1 - 6 A2 + A3) / 20,  Aj = F(uj, v) + F(uj, v+pi).
     """
     d, nu, nv = samples.shape
-    rows = np.arange(-2, nu + 2)
-    cols = np.arange(-2, nv + 2)
-    if topology == "torus":
-        src_rows, shift = rows % nu, 0
-    else:
-        half = nv // 2
-        beyond = (rows < 0) | (rows > nu - 1)
-        src_rows = np.where(rows < 0, -rows, np.where(rows > nu - 1, 2 * (nu - 1) - rows, rows))
-        shift = half * beyond[:, None]
-    flat = src_rows[:, None] * nv + (cols + shift) % nv
+    flat, opposite = _stencil_index(topology, nu, nv)
     ext = np.take(samples.reshape(d, nu * nv), flat, axis=1)
     if topology == "torus":
         return ext
-
-    def across(row):
-        return row + np.roll(row, half, axis=-1)
-
-    for node, (r1, r2, r3) in ((2, (1, 2, 3)), (nu + 1, (nu - 2, nu - 3, nu - 4))):
-        pole = (15.0 * across(samples[:, r1]) - 6.0 * across(samples[:, r2])
-                + across(samples[:, r3])) / 20.0
-        ext[:, node] = (pole / np.linalg.norm(pole, axis=0, keepdims=True))[:, cols % nv]
+    # rows 1, 2, 3 from the north pole and from the south pole
+    near = samples[:, [1, 2, 3, nu - 2, nu - 3, nu - 4]].reshape(d, 2, 3, nv)
+    across = near + near[..., opposite]
+    pole = (15.0 * across[:, :, 0] - 6.0 * across[:, :, 1] + across[:, :, 2]) / 20.0
+    pole /= np.linalg.norm(pole, axis=0, keepdims=True)
+    # row 2 of the table is chart row 0 on wrapped columns
+    ext[:, [2, nu + 1]] = pole[:, :, flat[2]]
     return ext
 
 
@@ -152,12 +180,13 @@ def _d2(ext: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
 def batch_jets(surface: GridSurface):
     """Finite-difference jets on all jet-valid rows, component-major.
 
-    Returns (position, first, second) with shapes (d, r, nv), (2, d, r, nv)
-    and (2, 2, d, r, nv), where r = number of valid rows: the small axes
-    lead and the grid axes trail, so the flow's dot products run over whole
+    Reads the component-major samples as they are and returns (position,
+    first, second) with shapes (d, r, nv), (2, d, r, nv) and
+    (2, 2, d, r, nv), where r = number of valid rows: the small axes lead
+    and the grid axes trail, so the flow's dot products run over whole
     (r, nv) planes.  A single point's slice [..., i, j] is a Jet2.
     """
-    s = np.moveaxis(surface.samples, -1, 0)
+    s = surface.samples
     rows = surface.valid_rows
     r0, r1 = rows.start, rows.stop
     euv = _padded(s, surface.topology)
@@ -169,10 +198,13 @@ def batch_jets(surface: GridSurface):
     block = np.empty((7,) + s[:, rows].shape)
     pos, first, second = block[0], block[1:3], block[3:].reshape((2, 2) + block.shape[1:])
     pos[...] = s[:, rows]
+    # v-difference on the returned rows and their u-ghosts: the mixed
+    # derivative differences it along u, and its middle rows are fv itself
+    dv_rows = _d1(euv[:, r0:r1 + 4], 2, surface.dv)
     _d1(eu, 1, surface.du, first[0])
-    _d1(ev, 2, surface.dv, first[1])
+    first[1] = dv_rows[:, 2:-2]
     _d2(eu, 1, surface.du, second[0, 0])
-    _d1(_d1(euv[:, r0:r1 + 4], 2, surface.dv), 1, surface.du, second[0, 1])
+    _d1(dv_rows, 1, surface.du, second[0, 1])
     second[1, 0] = second[0, 1]
     _d2(ev, 2, surface.dv, second[1, 1])
     return pos, first, second

@@ -285,7 +285,11 @@ class SweepGrid:
 
     resolution: int = 200
     refine_rounds: int = 3
-    chunk: int = 131072
+    # configurations per chunk at n = 2 (_chunk_size scales it by (2/n)^2).
+    # thm1 n = 4 chunks are then 8192, where rm_perp_squared's 64-plane
+    # intermediate is 4 MiB; at 32768 it was 16 MiB, spilled a 4 MiB L2 and
+    # cost about 25 % more per configuration
+    chunk: int = 32768
     stratum: str = "full"
     bisect: bool = True
 

@@ -110,12 +110,12 @@ def test_geodesic_sphere_jet_general_dimension():
 def test_sample_grid_shapes_and_topology():
     geo = sample_grid(make_surface("geodesic-sphere"), 17, 34)
     assert geo.topology == "sphere"
-    assert geo.samples.shape == (17, 34, 5)
-    assert np.abs(np.linalg.norm(geo.samples, axis=-1) - 1.0).max() < 1e-12
+    assert geo.samples.shape == (5, 17, 34)
+    assert np.abs(np.linalg.norm(geo.samples, axis=0) - 1.0).max() < 1e-12
     tor = sample_grid(make_surface("clifford"), 16, 16)
     assert tor.topology == "torus"
     # torus charts wrap: no duplicated seam row
-    assert np.abs(tor.samples[0] - tor.samples[-1]).max() > 1e-3
+    assert np.abs(tor.samples[:, 0] - tor.samples[:, -1]).max() > 1e-3
 
 
 def test_perturb_zero_amplitude_is_identity():
@@ -140,7 +140,7 @@ def test_perturb_deviation_scales_with_amplitude():
 
 def test_perturb_keeps_samples_on_sphere():
     grid = perturb(make_surface("veronese"), (3, 2), 0.05, 32, 32, direction=1)
-    assert np.abs(np.linalg.norm(grid.samples, axis=-1) - 1.0).max() < 1e-12
+    assert np.abs(np.linalg.norm(grid.samples, axis=0) - 1.0).max() < 1e-12
 
 
 def test_perturb_excessive_amplitude_degenerates():
@@ -165,6 +165,6 @@ def test_perturbed_sphere_profile_vanishes_at_poles():
     surf = make_surface("geodesic-sphere", rho=np.pi / 3)
     base = sample_grid(surf, 32, 64).samples
     pert = perturb(surf, (2, 2), 0.05, 32, 64).samples
-    assert np.array_equal(base[0], pert[0])
-    assert np.array_equal(base[-1], pert[-1])
-    assert np.abs(base[16] - pert[16]).max() > 1e-4
+    assert np.array_equal(base[:, 0], pert[:, 0])
+    assert np.array_equal(base[:, -1], pert[:, -1])
+    assert np.abs(base[:, 16] - pert[:, 16]).max() > 1e-4

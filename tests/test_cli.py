@@ -169,8 +169,12 @@ def test_report_flags_unreadable_artifact(tmp_path, capsys):
     ["flow", "--surface", "geodesic-sphere", "--nu", "4", "--nv", "2"],
     ["flow", "--surface", "flat-torus", "--nu", "0"],
     ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "2"],
+    ["flow", "--surface", "geodesic-sphere", "--nu", "16", "--nv", "32", "--kbar", "0"],
+    ["flow", "--surface", "geodesic-sphere", "--nu", "16", "--nv", "32", "--kbar", "-1"],
+    ["flow", "--surface", "geodesic-sphere", "--nu", "16", "--nv", "32", "--kbar", "nan"],
 ], ids=["trials0", "trials-3", "stride0", "stride-5", "flat_window0", "sphere_nv15",
-        "sphere_nu3", "sphere_nv0", "sphere_nv2", "torus_nu0", "torus_nv2"])
+        "sphere_nu3", "sphere_nv0", "sphere_nv2", "torus_nu0", "torus_nv2",
+        "kbar0", "kbar_neg", "kbar_nan"])
 def test_bad_counts_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--output-dir", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err

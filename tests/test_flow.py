@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import pinchflow.flow
-from pinchflow.canonical import make_surface, sample_grid
+from pinchflow.canonical import make_surface, perturb, sample_grid
 from pinchflow.errors import Extinct
-from pinchflow.flow import (CSV_HEADER, FlowConfig, FlowState, mcf_velocity,
-                            monitor, read_snapshot, run,
+from pinchflow.flow import (CSV_HEADER, FILTER_FRACTION, FlowConfig, FlowState,
+                            _lean_velocity, _refresh_poles, _zonal_mask,
+                            mcf_velocity, monitor, read_snapshot, run,
                             sphere_extinction_time, sphere_ode_oracle, step,
                             write_monitor_csv, write_snapshot)
-from pinchflow.grids import batch_jets
+from pinchflow.grids import _d1, _d2, _stencil_index, batch_jets
 from pinchflow.pinching import ConeParams
 
 
@@ -42,12 +43,12 @@ def test_velocity_vanishes_on_minimal_surfaces():
         surf = make_surface(kind, **kw)
         grid = sample_grid(surf, 32, 64 if kind != "clifford" else 32)
         v = mcf_velocity(grid)
-        assert np.abs(v[grid.valid_rows]).max() <= 1e-8
+        assert np.abs(v[:, grid.valid_rows]).max() <= 1e-8
 
 
 def test_velocity_magnitude_geodesic_sphere():
     grid = geodesic_grid(np.pi / 3, 64, 128)
-    mag = np.linalg.norm(mcf_velocity(grid), axis=-1)[grid.valid_rows]
+    mag = np.linalg.norm(mcf_velocity(grid), axis=0)[grid.valid_rows]
     # |H| = 2 cot(pi/3) = 2/sqrt(3), pointing down the radius of the cap
     assert abs(mag.max() - 2.0 / np.sqrt(3.0)) < 1e-5
     assert abs(mag.min() - 2.0 / np.sqrt(3.0)) < 1e-5
@@ -71,7 +72,7 @@ def test_step_dt_formula():
     assert out.dt_last == 0.2 * min(grid.du, grid.dv) ** 2
     assert out.t == out.dt_last
     # points stay on the unit sphere after the renormalization
-    radii = np.linalg.norm(out.surface.samples, axis=-1)
+    radii = np.linalg.norm(out.surface.samples, axis=0)
     assert np.abs(radii - 1.0).max() <= 1e-12
 
 
@@ -182,3 +183,119 @@ def test_snapshot_roundtrip_bytes(tmp_path):
     assert np.array_equal(back.samples, grid.samples)
     write_snapshot(back, p2, 0.125)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# test-only reference: the point-major stepper that the component-major one
+# replaced, with its per-call gather table, np.roll across-pole sums, per-call
+# zonal mask and separate fv stencil pass.  The arithmetic is unchanged, so
+# the two must agree bit for bit.
+
+def _reference_padded(samples, topology):
+    d, nu, nv = samples.shape
+    rows = np.arange(-2, nu + 2)
+    cols = np.arange(-2, nv + 2)
+    if topology == "torus":
+        src_rows, shift = rows % nu, 0
+    else:
+        half = nv // 2
+        beyond = (rows < 0) | (rows > nu - 1)
+        src_rows = np.where(rows < 0, -rows, np.where(rows > nu - 1, 2 * (nu - 1) - rows, rows))
+        shift = half * beyond[:, None]
+    flat = src_rows[:, None] * nv + (cols + shift) % nv
+    ext = np.take(samples.reshape(d, nu * nv), flat, axis=1)
+    if topology == "torus":
+        return ext
+
+    def across(row):
+        return row + np.roll(row, half, axis=-1)
+
+    for node, (r1, r2, r3) in ((2, (1, 2, 3)), (nu + 1, (nu - 2, nu - 3, nu - 4))):
+        pole = (15.0 * across(samples[:, r1]) - 6.0 * across(samples[:, r2])
+                + across(samples[:, r3])) / 20.0
+        ext[:, node] = (pole / np.linalg.norm(pole, axis=0, keepdims=True))[:, cols % nv]
+    return ext
+
+
+def _reference_jets(topology, rows, du, dv, samples):
+    """batch_jets of point-major (nu, nv, d) samples."""
+    s = np.moveaxis(samples, -1, 0)
+    r0, r1 = rows.start, rows.stop
+    euv = _reference_padded(s, topology)
+    eu = euv[:, r0:r1 + 4, 2:-2]
+    ev = euv[:, r0 + 2:r1 + 2]
+    block = np.empty((7,) + s[:, rows].shape)
+    pos, first, second = block[0], block[1:3], block[3:].reshape((2, 2) + block.shape[1:])
+    pos[...] = s[:, rows]
+    _d1(eu, 1, du, first[0])
+    _d1(ev, 2, dv, first[1])
+    _d2(eu, 1, du, second[0, 0])
+    _d1(_d1(euv[:, r0:r1 + 4], 2, dv), 1, du, second[0, 1])
+    second[1, 0] = second[0, 1]
+    _d2(ev, 2, dv, second[1, 1])
+    return pos, first, second
+
+
+def _reference_advance(grid, samples, vel_valid, dt):
+    def unit(x):
+        return x / np.sqrt((x * x).sum(axis=0))
+
+    s = np.moveaxis(samples, -1, 0).copy()
+    s[:, grid.valid_rows] += dt * vel_valid
+    if grid.topology == "sphere":
+        _refresh_poles(s)
+        s = unit(s)
+        spec = np.fft.rfft(s, axis=-1)
+        mmax = np.floor(FILTER_FRACTION * (grid.nv / 2.0)
+                        * np.abs(np.sin(grid.u_values))).astype(int)
+        mask = np.arange(spec.shape[-1])[None, :] <= np.maximum(mmax, 1)[:, None]
+        s = np.fft.irfft(spec * mask, n=grid.nv, axis=-1)
+    return np.ascontiguousarray(np.moveaxis(unit(s), 0, -1))
+
+
+def _reference_steps(grid, scheme, steps, cfl=0.2):
+    """(samples (nu, nv, d), t) after steps point-major reference steps."""
+    samples = np.ascontiguousarray(np.moveaxis(grid.samples, 0, -1))
+    t = 0.0
+
+    def jets(x):
+        return _reference_jets(grid.topology, grid.valid_rows, grid.du, grid.dv, x)
+
+    for _ in range(steps):
+        vel, a2 = _lean_velocity(*jets(samples))
+        dt = cfl * min(grid.du, grid.dv) ** 2 / max(1.0, float(a2.max()))
+        if scheme == "euler":
+            samples = _reference_advance(grid, samples, vel, dt)
+        else:
+            mid = _reference_advance(grid, samples, vel, 0.5 * dt)
+            vel2, _ = _lean_velocity(*jets(mid))
+            samples = _reference_advance(grid, samples, vel2, dt)
+        t = t + dt
+    return samples, t
+
+
+@pytest.mark.parametrize("kind,nu,nv,scheme", [
+    ("geodesic-sphere", 16, 32, "euler"),
+    ("geodesic-sphere", 16, 32, "rk2"),
+    ("flat-torus", 12, 12, "euler"),
+], ids=["sphere_euler", "sphere_rk2", "torus_euler"])
+def test_stepper_matches_point_major_reference(kind, nu, nv, scheme):
+    surf = make_surface(kind)
+    grid = perturb(surf, (2, 2), 0.05, nu, nv) if kind == "geodesic-sphere" \
+        else sample_grid(surf, nu, nv)
+    state = FlowState(0.0, 0, grid, 0.0)
+    for _ in range(40):
+        state = step(state, batch_jets(state.surface), scheme, 0.2, 1e6)
+    ref, t = _reference_steps(grid, scheme, 40)
+    assert state.surface.samples.shape == (5, nu, nv)
+    assert np.array_equal(state.surface.samples, np.moveaxis(ref, -1, 0))
+    assert state.t == t
+
+
+def test_run_builds_grid_tables_once():
+    grid = geodesic_grid(np.pi / 3, 12, 24)
+    state = step(FlowState(0.0, 0, grid, 0.0), batch_jets(grid))
+    misses = (_stencil_index.cache_info().misses, _zonal_mask.cache_info().misses)
+    res = run(state.surface, FlowConfig(t_max=0.2, stride=5))
+    assert res.final_state.step_index > 5
+    assert (_stencil_index.cache_info().misses, _zonal_mask.cache_info().misses) == misses

@@ -5,7 +5,7 @@ import pytest
 
 from pinchflow.canonical import make_surface, sample_grid
 from pinchflow.errors import BadParams, PoleRow
-from pinchflow.grids import batch_jets, discrete_jet
+from pinchflow.grids import GridSurface, batch_jets, discrete_jet
 from pinchflow.tensor_kernel import batch_geometry, point_geometry
 
 
@@ -99,3 +99,11 @@ def test_minimum_grid_sizes():
         for nu, nv in smaller:
             with pytest.raises(BadParams):
                 sample_grid(surf, nu, nv)
+
+
+def test_grid_rejects_point_major_samples():
+    # samples are component-major, (d, nu, nv)
+    grid = sample_grid(make_surface("clifford"), 8, 8)
+    assert grid.samples.shape == (5, 8, 8)
+    with pytest.raises(ValueError):
+        GridSurface("torus", 8, 8, np.moveaxis(grid.samples, 0, -1).copy())
