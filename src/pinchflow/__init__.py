@@ -15,7 +15,7 @@ from .canonical import (CanonicalSurface, geodesic_sphere_jet, make_surface,
 from .pinching import (BlowupTime, ConeParams, SweepGrid, SweepReport,
                        blowup_time, discriminant_report, harnack_bound,
                        q_from_invariants, q_value, reaction_of_Q, reaction_sweep,
-                       realize_argmax, thread_count)
+                       realize_argmax)
 from .flow import (FlowConfig, FlowResult, FlowState, MonitorRecord,
                    mcf_velocity, monitor, read_snapshot, run,
                    sphere_extinction_time, sphere_ode_oracle, step,

@@ -8,8 +8,9 @@ Subcommands:
     report      human-readable digest of artifacts in an output directory
 
 Exit codes: 0 all checks passed, 1 check failure, 2 configuration error,
-3 numerical abort.  All artifacts embed the fully-resolved configuration;
-reruns with identical config and seed are byte-identical.
+3 numerical abort.  All artifacts embed the fully-resolved configuration,
+which includes verify's --seed; reruns with an identical configuration are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .errors import (BadDims, BadParams, EmptyFeasibleSet, PinchflowError)
 from .frames import reconstruct, specialize  # noqa: F401
 from .identities import (kperp_checks, kperp_scalar, norms_batch, r1_batch,
                          rm_perp_squared, z_brute_batch)
-from .pinching import (ConeParams, SweepGrid, discriminant_report,
-                       reaction_sweep, thread_count)
+from .pinching import ConeParams, SweepGrid, discriminant_report, reaction_sweep
 from .tensor_kernel import point_geometry
 
 
@@ -160,7 +160,7 @@ def cmd_canonical(args) -> int:
     payload = {
         "command": "canonical",
         "config": {"surface": surf.kind, "params": surf.params, "tol": args.tol,
-                   "output_dir": args.output_dir, "seed": args.seed},
+                   "output_dir": args.output_dir},
         "rows": rows,
         "all_pass": bool(ok),
     }
@@ -200,8 +200,7 @@ def cmd_sweep(args) -> int:
             "epsilon": params.epsilon, "delta": params.delta,
             "resolution": grid.resolution, "refine_rounds": grid.refine_rounds,
             "chunk": grid.chunk, "stratum": grid.stratum,
-            "bisect": not args.no_bisect, "seed": args.seed,
-            "threads": thread_count(), "output_dir": args.output_dir,
+            "bisect": not args.no_bisect, "output_dir": args.output_dir,
         },
         "report": report.to_dict(),
     }
@@ -257,7 +256,7 @@ def cmd_flow(args) -> int:
             "cone": cfg.cone.describe() if cfg.cone is not None else None,
             "harnack_csharp": args.harnack_csharp,
             "harnack_delta0": args.harnack_delta0,
-            "seed": args.seed, "output_dir": args.output_dir, "prefix": args.prefix,
+            "output_dir": args.output_dir, "prefix": args.prefix,
         },
         "outcome": result.outcome,
         "final_t": result.final_state.t,
@@ -325,7 +324,6 @@ def cmd_report(args) -> int:
 
 def _add_common(p):
     p.add_argument("--output-dir", default=".", help="artifact directory")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None,
                    help="JSON file of option defaults (flags still win)")
 
@@ -348,6 +346,7 @@ def build_parser():
     p = sub.add_parser("verify", help="randomized identity/frame suites")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
     table["verify"] = p

@@ -15,15 +15,14 @@ enough to sweep
     Thm2:  a^2 + b^2 + c^2 + kbar = 1          (special-frame coordinates)
 
 with |H|^2 >= 0 recovered from the Q = 0 constraint and infeasible
-configurations skipped.  Sweeps are deterministic: a fixed lattice, chunked
-threaded evaluation, and a (value, lexicographic-configuration) reduction
-that is independent of the thread schedule.
+configurations skipped: the reaction is evaluated on feasible configurations
+only.  Sweeps are deterministic: a fixed lattice, a serial pass over its
+chunks, and a (value, lexicographic-configuration) reduction that is
+independent of the chunk size.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,18 +34,6 @@ SUP_SIGN_TOL = 1e-9      # "sup is positive" threshold for bisection
 BRACKET_WIDTH = 1e-4
 REFINE_FACTOR = 4        # lattice spacing shrink per refinement round
 CRITICAL_MAX_RES = 64    # lattice resolution cap of the critical-constant search
-
-
-def thread_count() -> int:
-    """Worker count: PINCHFLOW_THREADS caps it, 0 or unset means auto.
-
-    Any other value that is not a positive integer raises BadParams.
-    """
-    raw = os.environ.get("PINCHFLOW_THREADS", "").strip() or "0"
-    if not raw.isdecimal():
-        raise BadParams("PINCHFLOW_THREADS must be a nonnegative integer, got %r" % raw)
-    n = int(raw)
-    return n if n > 0 else min(os.cpu_count() or 1, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -338,39 +325,41 @@ def _feasible_thm2(params, a, b, c, kb):
             - params.epsilon * kb) / (params.k - 0.5)
 
 
+def _on_feasible(ok, values):
+    """Scatter values computed on the entries where ok holds; -inf elsewhere."""
+    out = np.full(ok.shape, -np.inf)
+    out[ok] = values
+    return out
+
+
 def _eval_configs(params, stratum, coords):
     """Reaction on explicit free coordinates; infeasible entries -> -inf.
 
-    Returns (values, printed_values, feasible_mask, config_arrays) where
-    config_arrays are the slice coordinates needed to rebuild the point.
+    The feasibility mask comes first and the reaction is evaluated on the
+    feasible entries only.  Returns (values, printed_values, feasible_mask,
+    config_arrays) where config_arrays are the slice coordinates needed to
+    rebuild the point; they are meaningful at feasible entries only.
     """
-    if params.variant == "thm1" and stratum == "hzero":
-        tau = coords[0]
-        s_tot = params.beta / (1.0 + params.beta)
-        kbv = 1.0 / (1.0 + params.beta)
-        x = tau * s_tot
-        y = (1.0 - tau) * s_tot
-        kb = np.full_like(x, kbv)
-        hsq = np.zeros_like(x)
-        ok = (tau >= 0.0) & (tau <= 1.0)
-        xs, ys = np.clip(x, 0.0, None), np.clip(y, 0.0, None)
-        vals = np.where(ok, _thm1_reaction_batch(params, xs, ys, kb, hsq), -np.inf)
-        return vals, None, ok, {"x": x, "y": y, "kbar": kb, "hsq": hsq}
     if params.variant == "thm1":
-        x, y = coords
-        kb = 1.0 - x - y
-        ok = (x >= 0.0) & (y >= 0.0) & (kb >= -1e-15)
-        kb = np.clip(kb, 0.0, None)
-        hsq = _feasible_thm1(params, x, y, kb)
-        ok &= hsq >= 0.0
-        hsq = np.where(ok, hsq, 0.0)
-        raw = _thm1_reaction_batch(
-            params, np.clip(x, 0.0, None), np.clip(y, 0.0, None), kb, hsq)
-        vals = np.where(ok, raw, -np.inf)
-        return vals, None, ok, {"x": x, "y": y, "kbar": kb, "hsq": hsq}
+        if stratum == "hzero":
+            tau = coords[0]
+            s_tot = params.beta / (1.0 + params.beta)
+            x = tau * s_tot
+            y = (1.0 - tau) * s_tot
+            kb = np.full_like(x, 1.0 / (1.0 + params.beta))
+            hsq = np.zeros_like(x)
+            ok = (tau >= 0.0) & (tau <= 1.0)
+        else:
+            x, y = coords
+            kb = 1.0 - x - y
+            ok = (x >= 0.0) & (y >= 0.0) & (kb >= -1e-15)
+            kb = np.clip(kb, 0.0, None)
+            hsq = _feasible_thm1(params, x, y, kb)
+            ok &= hsq >= 0.0
+        vals = _thm1_reaction_batch(params, x[ok], y[ok], kb[ok], hsq[ok])
+        return _on_feasible(ok, vals), None, ok, {"x": x, "y": y, "kbar": kb, "hsq": hsq}
     a, b, c = coords
-    r2_ = a * a + b * b + c * c
-    kb = 1.0 - r2_
+    kb = 1.0 - (a * a + b * b + c * c)
     ok = (a >= 0.0) & (b >= 0.0) & (c >= 0.0) & (kb >= -1e-15)
     kb = np.clip(kb, 0.0, None)
     if abs(params.k - 0.5) < 1e-12:
@@ -379,11 +368,9 @@ def _eval_configs(params, stratum, coords):
     else:
         hsq = _feasible_thm2(params, a, b, c, kb)
         ok &= hsq >= 0.0
-        hsq = np.where(ok, hsq, 0.0)
-    reaction, printed = _thm2_reaction_batch(params, a, b, c, kb, hsq)
-    vals = np.where(ok, reaction, -np.inf)
-    printed = np.where(ok, printed, -np.inf)
-    return vals, printed, ok, {"a": a, "b": b, "c": c, "kbar": kb, "hsq": hsq}
+    reaction, printed = _thm2_reaction_batch(params, a[ok], b[ok], c[ok], kb[ok], hsq[ok])
+    return (_on_feasible(ok, reaction), _on_feasible(ok, printed), ok,
+            {"a": a, "b": b, "c": c, "kbar": kb, "hsq": hsq})
 
 
 def _lattice_chunk(params, stratum, res, lo, hi):
@@ -418,37 +405,23 @@ def _run_base_sweep(params, grid):
     stratum = grid.stratum
     total = res if (params.variant == "thm1" and stratum == "hzero") else res ** 3
     chunk = _chunk_size(params, grid)
-    starts = list(range(0, total, chunk))
-
-    def work(lo):
-        hi = min(lo + chunk, total)
-        coords = _lattice_chunk(params, stratum, res, lo, hi)
-        vals, printed, ok, cfg = _eval_configs(params, stratum, coords)
-        count = int(ok.sum())
-        if count == 0:
-            return count, -np.inf, None, -np.inf
-        pos = int(np.argmax(vals))  # first max = lexicographically smallest
-        best_cfg = {k: float(v[pos]) for k, v in cfg.items()}
-        printed_sup = float(printed.max()) if printed is not None else -np.inf
-        return count, float(vals[pos]), best_cfg, printed_sup
-
     samples = 0
     best = -np.inf
     best_cfg = None
     printed_sup = -np.inf
-    workers = thread_count()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(work, starts))
-    else:
-        results = [work(lo) for lo in starts]
-    for count, val, cfg, psup in results:  # reduce in lattice order
+    for lo in range(0, total, chunk):  # lattice order: the first max wins
+        coords = _lattice_chunk(params, stratum, res, lo, min(lo + chunk, total))
+        vals, printed, ok, cfg = _eval_configs(params, stratum, coords)
+        count = int(ok.sum())
+        if count == 0:
+            continue
         samples += count
-        if cfg is not None and val > best:
-            best = val
-            best_cfg = cfg
-        if psup > printed_sup:
-            printed_sup = psup
+        pos = int(np.argmax(vals))  # first max = lexicographically smallest
+        if vals[pos] > best:
+            best = float(vals[pos])
+            best_cfg = {k: float(v[pos]) for k, v in cfg.items()}
+        if printed is not None:
+            printed_sup = max(printed_sup, float(printed.max()))
     return best, best_cfg, samples, printed_sup
 
 

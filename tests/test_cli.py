@@ -1,7 +1,6 @@
 """End-to-end exercises of the command line driver (in-process)."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -183,23 +182,32 @@ def test_bad_counts_exit_2(tmp_path, capsys, argv):
 SMALL_SWEEP = ["sweep", "--variant", "thm1", "--resolution", "8", "--no-bisect"]
 
 
-@pytest.mark.parametrize("value", ["abc", "-4"])
-def test_malformed_thread_count_exits_2(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("PINCHFLOW_THREADS", value)
-    assert main(SMALL_SWEEP + ["--output-dir", str(tmp_path)]) == 2
-    assert "PINCHFLOW_THREADS" in capsys.readouterr().err
-    assert not list(tmp_path.glob("sweep_*.json"))
+def test_sweep_artifact_is_machine_independent(tmp_path, monkeypatch):
+    """The sweep artifact records nothing of the machine, so its bytes do
+    not depend on the PINCHFLOW_THREADS setting."""
+    texts = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PINCHFLOW_THREADS", threads)
+        assert main(SMALL_SWEEP + ["--output-dir", str(tmp_path)]) == 0
+        texts.append((tmp_path / "sweep_thm1_full.json").read_bytes())
+    assert texts[0] == texts[1]
+    assert "threads" not in read_json(tmp_path / "sweep_thm1_full.json")["config"]
 
 
-@pytest.mark.parametrize("value", [None, "0"], ids=["unset", "zero"])
-def test_thread_count_unset_or_zero_is_auto(tmp_path, monkeypatch, value):
-    if value is None:
-        monkeypatch.delenv("PINCHFLOW_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("PINCHFLOW_THREADS", value)
-    assert main(SMALL_SWEEP + ["--output-dir", str(tmp_path)]) == 0
-    config = read_json(tmp_path / "sweep_thm1_full.json")["config"]
-    assert config["threads"] == min(os.cpu_count() or 1, 8)
+@pytest.mark.parametrize("argv", [
+    SMALL_SWEEP,
+    ["canonical", "--surface", "veronese"],
+    ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--t-max", "0.001"],
+    ["report"],
+], ids=["sweep", "canonical", "flow", "report"])
+def test_seed_is_a_verify_option_only(tmp_path, argv):
+    """Only verify draws random numbers, so only verify takes --seed."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1", "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    for path in tmp_path.glob("*.json"):
+        assert "seed" not in read_json(path)["config"]
 
 
 def test_flow_rerun_is_byte_identical(tmp_path):

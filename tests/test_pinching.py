@@ -7,7 +7,9 @@ from pinchflow.canonical import make_surface
 from pinchflow.errors import BadDims, BadParams, EmptyFeasibleSet
 from pinchflow.frames import specialize, split_traceless
 from pinchflow.identities import norms_batch
-from pinchflow.pinching import (ConeParams, SweepGrid, blowup_time,
+from pinchflow.pinching import (ConeParams, SweepGrid, _eval_configs,
+                                _lattice_chunk, _thm1_reaction_batch,
+                                _thm2_reaction_batch, blowup_time,
                                 discriminant_report, harnack_bound, q_value,
                                 reaction_of_Q, reaction_sweep, realize_argmax,
                                 thm1_config_h, thm2_config_h)
@@ -191,15 +193,85 @@ def test_sweep_determinism():
 
 @pytest.mark.parametrize("params", [ConeParams("thm1", n=4), ConeParams("thm2")],
                          ids=["thm1_n4", "thm2"])
-def test_sweep_independent_of_thread_schedule(monkeypatch, params):
-    """Worker count and chunk size change the schedule, never the report:
-    one chunk or fourteen, evaluated serially or by two workers."""
-    reports = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("PINCHFLOW_THREADS", threads)
-        for chunk in (1024, 131072):
-            reports.append(reaction_sweep(params, SweepGrid(resolution=24, chunk=chunk)).to_dict())
-    assert all(rep == reports[0] for rep in reports[1:])
+def test_sweep_independent_of_chunk_size(params):
+    """Chunk size changes the pass over the lattice, never the report: one
+    chunk or fourteen."""
+    a, b = (reaction_sweep(params, SweepGrid(resolution=24, chunk=chunk)).to_dict()
+            for chunk in (1024, 131072))
+    assert a == b
+
+
+def _eval_everything(params, stratum, coords):
+    """Reference _eval_configs that evaluates the reaction at every point,
+    clipping infeasible coordinates, and masks infeasible values to -inf."""
+    if params.variant == "thm1" and stratum == "hzero":
+        tau = coords[0]
+        s_tot = params.beta / (1.0 + params.beta)
+        x, y = tau * s_tot, (1.0 - tau) * s_tot
+        kb = np.full_like(x, 1.0 / (1.0 + params.beta))
+        hsq = np.zeros_like(x)
+        ok = (tau >= 0.0) & (tau <= 1.0)
+        raw = _thm1_reaction_batch(params, np.clip(x, 0.0, None),
+                                   np.clip(y, 0.0, None), kb, hsq)
+        return np.where(ok, raw, -np.inf), None, ok
+    if params.variant == "thm1":
+        x, y = coords
+        kb = 1.0 - x - y
+        ok = (x >= 0.0) & (y >= 0.0) & (kb >= -1e-15)
+        kb = np.clip(kb, 0.0, None)
+        hsq = (x + y - params.beta * kb) / (params.alpha - 1.0 / params.n)
+        ok &= hsq >= 0.0
+        hsq = np.where(ok, hsq, 0.0)
+        raw = _thm1_reaction_batch(params, np.clip(x, 0.0, None),
+                                   np.clip(y, 0.0, None), kb, hsq)
+        return np.where(ok, raw, -np.inf), None, ok
+    a, b, c = coords
+    kb = 1.0 - (a * a + b * b + c * c)
+    ok = (a >= 0.0) & (b >= 0.0) & (c >= 0.0) & (kb >= -1e-15)
+    kb = np.clip(kb, 0.0, None)
+    if abs(params.k - 0.5) < 1e-12:
+        ok &= False
+        hsq = np.zeros_like(a)
+    else:
+        hsq = (2.0 * (a * a + b * b + c * c) + 4.0 * params.gamma * a * c
+               - params.epsilon * kb) / (params.k - 0.5)
+        ok &= hsq >= 0.0
+        hsq = np.where(ok, hsq, 0.0)
+    reaction, printed = _thm2_reaction_batch(params, a, b, c, kb, hsq)
+    return np.where(ok, reaction, -np.inf), np.where(ok, printed, -np.inf), ok
+
+
+# (params, stratum, lattice index range) at resolution 24.  thm2's chunk
+# [13272, 13824) has a = 1 and b > 0, outside the ball, so no feasible point;
+# at k = 0.5 no point is feasible
+FEASIBLE_CASES = {
+    "thm1_n2": (ConeParams("thm1", n=2), "full", (0, 24 ** 3)),
+    "thm1_n3": (ConeParams("thm1", n=3), "full", (4096, 12288)),
+    "thm1_n4": (ConeParams("thm1", n=4), "full", (0, 24 ** 3)),
+    "thm2": (ConeParams("thm2"), "full", (0, 24 ** 3)),
+    "thm2_infeasible_chunk": (ConeParams("thm2"), "full", (13272, 24 ** 3)),
+    "thm2_k_half": (ConeParams("thm2", k=0.5), "full", (0, 24 ** 3)),
+    "hzero": (ConeParams("thm1", n=2, beta=1.0), "hzero", (0, 24)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FEASIBLE_CASES))
+def test_eval_configs_matches_evaluate_everything(case):
+    """Evaluating only the feasible entries gives, bit for bit, the values
+    of evaluating every entry and masking, and -inf at every other entry."""
+    params, stratum, (lo, hi) = FEASIBLE_CASES[case]
+    coords = _lattice_chunk(params, stratum, 24, lo, hi)
+    vals, printed, ok, _ = _eval_configs(params, stratum, coords)
+    ref_vals, ref_printed, ref_ok = _eval_everything(params, stratum, coords)
+    assert np.array_equal(ok, ref_ok)
+    assert np.array_equal(vals[ok], ref_vals[ok])
+    assert np.all(vals[~ok] == -np.inf)
+    if params.variant == "thm2":
+        assert np.array_equal(printed[ok], ref_printed[ok])
+        assert np.all(printed[~ok] == -np.inf)
+    else:
+        assert printed is None and ref_printed is None
+    assert ok.any() == (case not in ("thm2_infeasible_chunk", "thm2_k_half"))
 
 
 def test_sweep_empty_feasible_set():
