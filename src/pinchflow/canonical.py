@@ -24,6 +24,7 @@ from .grids import GridSurface, batch_jets
 from .tensor_kernel import Jet2, batch_geometry
 
 SQ3 = np.sqrt(3.0)
+CLIFFORD_RADIUS = 1.0 / np.sqrt(2.0)  # clifford is the flat torus with r1 = r2 = this
 
 
 @dataclass
@@ -58,21 +59,6 @@ def _pack(u, v, comps_pos, comps_fu, comps_fv, comps_fuu, comps_fuv, comps_fvv, 
     first = np.stack([fu, fv], axis=-2)
     second = np.stack([np.stack([fuu, fuv], axis=-2), np.stack([fuv, fvv], axis=-2)], axis=-3)
     return pos, first, second
-
-
-def _clifford_chart(u, v):
-    cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-    r = 1.0 / np.sqrt(2.0)
-    return _pack(
-        u, v,
-        [(0, r * cu), (1, r * su), (2, r * cv), (3, r * sv)],
-        [(0, -r * su), (1, r * cu)],
-        [(2, -r * sv), (3, r * cv)],
-        [(0, -r * cu), (1, -r * su)],
-        [],
-        [(2, -r * cv), (3, -r * sv)],
-        5,
-    )
 
 
 def _flat_torus_chart(r1, r2):
@@ -150,7 +136,8 @@ def make_surface(kind: str, **params) -> CanonicalSurface:
             raise BadParams("clifford takes no parameters")
         ref = dict(normA2=2.0, normH2=0.0, normTracelessA2=2.0, kperp_abs=0.0,
                    gauss=0.0, minimal=True)
-        return CanonicalSurface("clifford", {}, "torus", 5, ref, _clifford_chart)
+        return CanonicalSurface("clifford", {}, "torus", 5, ref,
+                                _flat_torus_chart(CLIFFORD_RADIUS, CLIFFORD_RADIUS))
 
     if kind == "flat-torus":
         r1 = params.pop("r1", 0.6)
@@ -275,15 +262,9 @@ def _analytic_normals(surface: CanonicalSurface, uu, vv) -> np.ndarray:
     shape = np.broadcast(uu, vv).shape
     dim = surface.ambient_dim
     frame = np.zeros(shape + (2, dim))
-    if surface.kind == "clifford":
-        r = 1.0 / np.sqrt(2.0)
-        frame[..., 0, 0] = -r * cu
-        frame[..., 0, 1] = -r * su
-        frame[..., 0, 2] = r * cv
-        frame[..., 0, 3] = r * sv
-        frame[..., 1, 4] = 1.0
-    elif surface.kind == "flat-torus":
-        r1, r2 = surface.params["r1"], surface.params["r2"]
+    if surface.kind in ("clifford", "flat-torus"):
+        r1 = surface.params.get("r1", CLIFFORD_RADIUS)
+        r2 = surface.params.get("r2", CLIFFORD_RADIUS)
         frame[..., 0, 0] = -r2 * cu
         frame[..., 0, 1] = -r2 * su
         frame[..., 0, 2] = r1 * cv
@@ -341,19 +322,20 @@ def perturb(surface: CanonicalSurface, mode=(2, 2), amplitude: float = 0.0,
     charts, and cos(mu u) sin(u)^mv cos(mv v) on sphere charts (the extra
     sin factor makes the profile a polynomial in the ambient coordinates,
     so it closes up smoothly at the poles instead of kinking).  Zero
-    amplitude returns the plain grid samples byte-for-byte.  Pole rows of
+    amplitude returns the plain grid samples byte-for-byte, after the mode
+    and direction are validated as at any other amplitude.  Pole rows of
     sphere charts are left unperturbed (the profile vanishes there anyway;
     they are excluded from jets and refreshed during flow).
     """
-    grid = sample_grid(surface, nu, nv)
-    if amplitude == 0.0:
-        return grid
-
     mu, mv = mode
     if mu != int(mu) or mv != int(mv) or mu < 0 or mv < 0:
         raise BadParams("mode wavenumbers must be nonnegative integers")
     if direction not in (0, 1):
         raise BadParams("direction must be 0 or 1")
+    grid = sample_grid(surface, nu, nv)
+    if amplitude == 0.0:
+        return grid
+
     vr = grid.valid_rows
     u = grid.u_values[vr]
     v = grid.v_values

@@ -186,6 +186,8 @@ def _cone_from_args(args) -> ConeParams:
 
 def cmd_sweep(args) -> int:
     params = _cone_from_args(args)
+    if args.discriminant and params.variant != "thm1":
+        raise BadParams("--discriminant is a thm1 record")
     grid = SweepGrid(resolution=args.resolution,
                      refine_rounds=args.refine_rounds,
                      chunk=args.chunk,
@@ -204,7 +206,7 @@ def cmd_sweep(args) -> int:
         },
         "report": report.to_dict(),
     }
-    if args.discriminant and params.variant == "thm1":
+    if args.discriminant:
         payload["discriminant"] = discriminant_report(params.n, params.alpha,
                                                       params.beta)
     name = "sweep_%s_%s.json" % (params.variant, grid.stratum)
@@ -217,17 +219,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_flow(args) -> int:
     surf = canonical_mod.make_surface(args.surface, **_surface_params(args))
-    if args.amplitude != 0.0:
-        grid = canonical_mod.perturb(surf, (args.mu, args.mv), args.amplitude,
-                                     args.nu, args.nv, args.direction)
-    else:
-        grid = canonical_mod.sample_grid(surf, args.nu, args.nv)
+    grid = canonical_mod.perturb(surf, (args.mu, args.mv), args.amplitude,
+                                 args.nu, args.nv, args.direction)
 
     cone = None
     if args.cone is not None:
         cone = ConeParams(variant=args.cone, n=2, alpha=args.alpha,
                           beta=args.beta, k=args.k, gamma=args.gamma,
                           epsilon=args.epsilon, delta=args.delta)
+    elif args.delta != 0.0 or any(getattr(args, key) is not None
+                                  for key in ("alpha", "beta", "k", "gamma", "epsilon")):
+        raise BadParams("cone constants given without --cone")
     cfg = flow_mod.FlowConfig(
         scheme=args.scheme, cfl=args.cfl, t_max=args.t_max,
         blowup_ceiling=args.ceiling, stride=args.stride,
@@ -329,7 +331,6 @@ def _add_common(p):
 
 
 def _add_cone_flags(p):
-    p.add_argument("--n", type=int, default=2)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--k", type=float, default=None)
@@ -364,6 +365,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="reaction negativity sweep")
     p.add_argument("--variant", required=True, choices=["thm1", "thm2"])
+    p.add_argument("--n", type=int, default=2)
     _add_cone_flags(p)
     p.add_argument("--resolution", type=int, default=200)
     p.add_argument("--refine-rounds", type=int, default=3)

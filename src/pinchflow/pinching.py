@@ -16,9 +16,12 @@ enough to sweep
 
 with |H|^2 >= 0 recovered from the Q = 0 constraint and infeasible
 configurations skipped: the reaction is evaluated on feasible configurations
-only.  Sweeps are deterministic: a fixed lattice, a serial pass over its
-chunks, and a (value, lexicographic-configuration) reduction that is
-independent of the chunk size.
+only.  Every stratum is sampled on one kind of lattice, resolution evenly
+spaced values on [0, 1] per free coordinate: (x, y) = (|Atr1|^2, |Atr-|^2)
+for Thm1, (a, b, c) for Thm2, and the split tau = x / (x + y) on the Thm1
+|H| = 0 stratum.  Sweeps are deterministic: a fixed lattice, a serial pass
+over its chunks, and a (value, lexicographic-configuration) reduction that
+is independent of the chunk size.
 """
 
 from __future__ import annotations
@@ -263,8 +266,9 @@ def _thm2_reaction_batch(params: ConeParams, a, b, c, kb, hsq):
 class SweepGrid:
     """Sampling plan for reaction_sweep.
 
-    resolution^3 lattice evaluations at the base level (resolution for the
-    one-dimensional hzero stratum), then `refine_rounds` local refinements
+    resolution^d lattice evaluations at the base level, d the number of
+    free coordinates (2 for thm1, 3 for thm2, 1 for the hzero stratum),
+    then `refine_rounds` local refinements
     shrinking the lattice spacing by REFINE_FACTOR around the incumbent
     argmax.  stratum "full" sweeps the whole Q = 0 slice; "hzero" (thm1
     only) restricts to |H| = 0, where the beta boundary lives.
@@ -373,26 +377,19 @@ def _eval_configs(params, stratum, coords):
             {"a": a, "b": b, "c": c, "kbar": kb, "hsq": hsq})
 
 
-def _lattice_chunk(params, stratum, res, lo, hi):
-    """Free coordinates of lattice indices [lo, hi) in lexicographic order."""
-    idx = np.arange(lo, hi)
-    if params.variant == "thm1" and stratum == "hzero":
-        return (idx / (res - 1.0),)
+def _free_dim(params, stratum):
+    """Number of free coordinates of a stratum: tau for hzero, (x, y) for
+    thm1, (a, b, c) for thm2."""
     if params.variant == "thm1":
-        i = idx // (res * res)
-        j = (idx // res) % res
-        l = idx % res
-        s = i + j + l
-        s = np.where(s == 0, 1, s)  # index 0 is discarded by feasibility anyway
-        x = i / s
-        y = j / s
-        bad = (i + j + l) == 0
-        x = np.where(bad, -1.0, x)  # forces infeasible
-        return (x, y)
-    i = idx // (res * res)
-    j = (idx // res) % res
-    l = idx % res
-    return (i / (res - 1.0), j / (res - 1.0), l / (res - 1.0))
+        return 1 if stratum == "hzero" else 2
+    return 3
+
+
+def _lattice_chunk(params, stratum, res, lo, hi):
+    """Free coordinates of lattice indices [lo, hi) in lexicographic order:
+    res evenly spaced values on [0, 1] per free coordinate."""
+    idx = np.unravel_index(np.arange(lo, hi), (res,) * _free_dim(params, stratum))
+    return tuple(i / (res - 1.0) for i in idx)
 
 
 def _chunk_size(params, grid):
@@ -401,13 +398,15 @@ def _chunk_size(params, grid):
 
 
 def _run_base_sweep(params, grid):
+    """(sup, argmax config, feasible samples, printed sup, argmax free
+    coordinates) over the base lattice."""
     res = grid.resolution
     stratum = grid.stratum
-    total = res if (params.variant == "thm1" and stratum == "hzero") else res ** 3
+    total = res ** _free_dim(params, stratum)
     chunk = _chunk_size(params, grid)
     samples = 0
     best = -np.inf
-    best_cfg = None
+    best_cfg = best_coords = None
     printed_sup = -np.inf
     for lo in range(0, total, chunk):  # lattice order: the first max wins
         coords = _lattice_chunk(params, stratum, res, lo, min(lo + chunk, total))
@@ -420,25 +419,16 @@ def _run_base_sweep(params, grid):
         if vals[pos] > best:
             best = float(vals[pos])
             best_cfg = {k: float(v[pos]) for k, v in cfg.items()}
+            best_coords = [float(co[pos]) for co in coords]
         if printed is not None:
             printed_sup = max(printed_sup, float(printed.max()))
-    return best, best_cfg, samples, printed_sup
+    return best, best_cfg, samples, printed_sup, best_coords
 
 
-def _free_coords(params, stratum, cfg):
-    if params.variant == "thm1" and stratum == "hzero":
-        s_tot = params.beta / (1.0 + params.beta)
-        return [cfg["x"] / s_tot if s_tot > 0 else 0.0]
-    if params.variant == "thm1":
-        return [cfg["x"], cfg["y"]]
-    return [cfg["a"], cfg["b"], cfg["c"]]
-
-
-def _refine(params, grid, best, best_cfg):
-    """Local lattice refinement around the incumbent; monotone in sup."""
+def _refine(params, grid, best, best_cfg, center):
+    """Local lattice refinement around the incumbent, whose free coordinates
+    are center; monotone in sup."""
     stratum = grid.stratum
-    center = _free_coords(params, stratum, best_cfg)
-    dim = len(center)
     spacing = 1.0 / grid.resolution
     extra = 0
     for _ in range(grid.refine_rounds):
@@ -452,7 +442,7 @@ def _refine(params, grid, best, best_cfg):
         if np.isfinite(vals[pos]) and vals[pos] > best:
             best = float(vals[pos])
             best_cfg = {k: float(v[pos]) for k, v in cfg.items()}
-            center = _free_coords(params, stratum, best_cfg)
+            center = [float(co[pos]) for co in coords]
         spacing /= REFINE_FACTOR
     return best, best_cfg, extra
 
@@ -460,7 +450,7 @@ def _refine(params, grid, best, best_cfg):
 def _sup_at(params, resolution, stratum, chunk):
     g = SweepGrid(resolution=resolution, refine_rounds=0, chunk=chunk,
                   stratum=stratum, bisect=False)
-    best, cfg, _, _ = _run_base_sweep(params, g)
+    best, cfg = _run_base_sweep(params, g)[:2]
     return best if cfg is not None else -np.inf
 
 
@@ -534,12 +524,12 @@ def reaction_sweep(params: ConeParams, grid: SweepGrid | None = None) -> SweepRe
     if grid.stratum == "hzero" and params.variant != "thm1":
         raise BadParams("the |H| = 0 stratum sweep is a thm1 construction")
 
-    best, best_cfg, samples, printed_sup = _run_base_sweep(params, grid)
+    best, best_cfg, samples, printed_sup, center = _run_base_sweep(params, grid)
     base_best = best
     if best_cfg is None:
         raise EmptyFeasibleSet("no feasible configuration on the Q = 0 slice")
     if grid.refine_rounds > 0:
-        best, best_cfg, extra = _refine(params, grid, best, best_cfg)
+        best, best_cfg, extra = _refine(params, grid, best, best_cfg, center)
         samples += extra
 
     h, p_at = realize_argmax(params, best_cfg)

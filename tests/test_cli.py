@@ -180,6 +180,32 @@ def test_bad_counts_exit_2(tmp_path, capsys, argv):
 
 
 SMALL_SWEEP = ["sweep", "--variant", "thm1", "--resolution", "8", "--no-bisect"]
+TINY_FLOW = ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--t-max", "0.001"]
+
+
+@pytest.mark.parametrize("argv", [
+    TINY_FLOW + ["--alpha", "0.9", "--k", "0.1"],
+    TINY_FLOW + ["--delta", "0.1"],
+    TINY_FLOW + ["--direction", "7", "--mu", "3"],
+    TINY_FLOW + ["--mu", "-1"],
+    ["sweep", "--variant", "thm2", "--discriminant", "--resolution", "8", "--no-bisect"],
+], ids=["cone_constants_without_cone", "delta_without_cone", "direction7_zero_amplitude",
+        "negative_mode_zero_amplitude", "thm2_discriminant"])
+def test_options_that_would_be_ignored_exit_2(tmp_path, capsys, argv):
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_flow_has_no_dimension_option(tmp_path):
+    """Flow cones are surface cones (n = 2), so flow takes no --n."""
+    with pytest.raises(SystemExit) as exc:
+        main(TINY_FLOW + ["--cone", "thm1", "--n", "3", "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert main(TINY_FLOW + ["--cone", "thm1", "--alpha", "0.9",
+                             "--output-dir", str(tmp_path)]) == 0
+    cone = read_json(tmp_path / "flow.json")["config"]["cone"]
+    assert (cone["n"], cone["alpha"]) == (2, 0.9)
 
 
 def test_sweep_artifact_is_machine_independent(tmp_path, monkeypatch):

@@ -201,6 +201,30 @@ def test_sweep_independent_of_chunk_size(params):
     assert a == b
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_thm1_sweep_independent_of_chunk_size(n):
+    """The thm1 lattice has resolution^2 points: at resolution 64 that is
+    four chunks of 1024 configurations or one chunk."""
+    params = ConeParams("thm1", n=n)
+    a, b = (reaction_sweep(params, SweepGrid(resolution=64, chunk=chunk,
+                                             bisect=False)).to_dict()
+            for chunk in (1024 * (n // 2) ** 2, 131072))
+    assert a == b
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_thm1_lattice_is_the_xy_slice(n):
+    """The thm1 base lattice samples (x, y) on [0, 1]^2, so it has at most
+    resolution^2 feasible points, and its argmax is the vertex x = 1, y = 0,
+    the only zero of the reaction on the slice."""
+    res = 24
+    rep = reaction_sweep(ConeParams("thm1", n=n),
+                         SweepGrid(resolution=res, refine_rounds=0, bisect=False))
+    assert 0 < rep.samples <= res ** 2
+    assert (rep.argmax["x"], rep.argmax["y"]) == (1.0, 0.0)
+    assert abs(rep.sup_value) < 1e-12
+
+
 def _eval_everything(params, stratum, coords):
     """Reference _eval_configs that evaluates the reaction at every point,
     clipping infeasible coordinates, and masks infeasible values to -inf."""
@@ -245,9 +269,9 @@ def _eval_everything(params, stratum, coords):
 # [13272, 13824) has a = 1 and b > 0, outside the ball, so no feasible point;
 # at k = 0.5 no point is feasible
 FEASIBLE_CASES = {
-    "thm1_n2": (ConeParams("thm1", n=2), "full", (0, 24 ** 3)),
-    "thm1_n3": (ConeParams("thm1", n=3), "full", (4096, 12288)),
-    "thm1_n4": (ConeParams("thm1", n=4), "full", (0, 24 ** 3)),
+    "thm1_n2": (ConeParams("thm1", n=2), "full", (0, 24 ** 2)),
+    "thm1_n3": (ConeParams("thm1", n=3), "full", (192, 384)),
+    "thm1_n4": (ConeParams("thm1", n=4), "full", (0, 24 ** 2)),
     "thm2": (ConeParams("thm2"), "full", (0, 24 ** 3)),
     "thm2_infeasible_chunk": (ConeParams("thm2"), "full", (13272, 24 ** 3)),
     "thm2_k_half": (ConeParams("thm2", k=0.5), "full", (0, 24 ** 3)),
