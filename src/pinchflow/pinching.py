@@ -2,9 +2,10 @@
 
 A cone is the region Q < 0 of a curvature polynomial Q; preservation under
 the flow hinges on the sign of Q's reaction terms on the boundary Q = 0.
-Those signs are claims under test here: the sweep machinery evaluates the
-reaction assembled from the defining contractions (via the identities
-module), never from a pre-expanded polynomial, and reports the measured
+Those signs are claims under test here.  Each variant's reaction is written
+once, in _reaction, from the defining contractions of the identities module,
+never from a pre-expanded polynomial: reaction_of_Q evaluates it at one h,
+and the sweeps at a batch of slice configurations, reporting the measured
 supremum, its argmax, and bisected critical constants.
 
 The Q = 0 slice is compactified by degree-4 homogeneity: scaling h by
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadDims, BadParams, EmptyFeasibleSet
-from .identities import kperp_scalar, norms_batch, r1_batch, r2_batch, reaction_terms
+from .identities import kperp_scalar, norms_batch, r1_batch, r2_batch
 
 SUP_SIGN_TOL = 1e-9      # "sup is positive" threshold for bisection
 BRACKET_WIDTH = 1e-4
@@ -80,6 +81,8 @@ class ConeParams:
         if self.delta < 0:
             raise BadParams("delta must be nonnegative")
         if v == "thm1":
+            if (self.k, self.gamma, self.epsilon) != (None, None, None) or self.delta != 0:
+                raise BadParams("k, gamma, epsilon and delta are thm2 constants")
             if self.alpha is None:
                 self.alpha = 4.0 / (3.0 * self.n) if self.n <= 3 else 1.0 / (self.n - 1)
             if self.beta is None:
@@ -89,14 +92,17 @@ class ConeParams:
             if self.beta < 0:
                 raise BadParams("thm1 needs beta >= 0")
         else:
+            if self.alpha is not None or self.beta is not None:
+                raise BadParams("alpha and beta are thm1 constants")
             if self.n != 2:
                 raise BadParams("thm2 is a codimension-two surface cone (n = 2)")
             if self.k is None:
                 self.k = 29.0 / 40.0
+            gamma, epsilon = _thm2_default_rules(self.k, self.delta)
             if self.epsilon is None:
-                self.epsilon = 4.0 * (self.k - 0.5)
+                self.epsilon = epsilon
             if self.gamma is None:
-                self.gamma = 1.0 - (4.0 / 3.0) * self.k - self.delta
+                self.gamma = gamma
             if self.gamma < 0:
                 raise BadParams("thm2 needs gamma >= 0 (k too large for this delta)")
 
@@ -112,6 +118,12 @@ class ConeParams:
             "delta": self.delta,
             "kbar": self.kbar,
         }
+
+
+def _thm2_default_rules(k: float, delta: float):
+    """(gamma, epsilon) of the thm2 cone with constant k by the default rules
+    gamma = 1 - (4/3)k - delta and epsilon = 4(k - 1/2)."""
+    return 1.0 - (4.0 / 3.0) * k - delta, 4.0 * (k - 0.5)
 
 
 def q_from_invariants(normA2, normH2, kperp, params: ConeParams):
@@ -135,7 +147,7 @@ def reaction_of_Q(h, params: ConeParams) -> float:
     identities-module contractions.
 
     Thm1:  2 R1 - 2 alpha R2 - 2n kbar |Atr|^2 - 2n(alpha - 1/n) kbar |H|^2
-    Thm2:  2 R1 + 2 gamma sign(Kperp) R3 - 2 k R2
+    Thm2:  2 R1 + 2 gamma sign(Kperp) Kperp (|A|^2 + 2|Atr|^2) - 2 k R2
            - 4 kbar |Atr|^2 + 2 kbar |H|^2 - 4 k kbar |H|^2 - 8 gamma kbar |Kperp|
 
     The last term is 2 gamma sign(Kperp) times the -4 kbar Kperp that the
@@ -144,24 +156,32 @@ def reaction_of_Q(h, params: ConeParams) -> float:
     comp = np.asarray(h, float)
     if comp.ndim != 3 or comp.shape[0] != comp.shape[1]:
         raise BadDims("expected a single (n, n, k) array of components")
-    n = comp.shape[0]
-    kb = params.kbar
-    rt = reaction_terms(comp)
-    _, normH2, traceless = (float(x) for x in norms_batch(comp))
     if params.variant == "thm1":
-        if n != params.n:
-            raise BadDims("h has n = %d but params.n = %d" % (n, params.n))
-        return (2.0 * rt.r1 - 2.0 * params.alpha * rt.r2
+        if comp.shape[0] != params.n:
+            raise BadDims("h has n = %d but params.n = %d" % (comp.shape[0], params.n))
+    elif comp.shape != (2, 2, 2):
+        raise BadDims("thm2 reaction needs (n, k) = (2, 2)")
+    return float(_reaction(params, comp, params.kbar))
+
+
+def _reaction(params: ConeParams, h, kb):
+    """reaction_of_Q's formula, batched: h is one (n, n, k) array or a
+    point-major (m, n, n, k) batch, and kb the background curvature of each."""
+    r1 = r1_batch(h)
+    r2 = r2_batch(h)
+    normA2, normH2, traceless = norms_batch(h)
+    if params.variant == "thm1":
+        n = params.n
+        return (2.0 * r1 - 2.0 * params.alpha * r2
                 - 2.0 * n * kb * traceless
                 - 2.0 * n * (params.alpha - 1.0 / n) * kb * normH2)
-    if comp.shape != (2, 2, 2):
-        raise BadDims("thm2 reaction needs (n, k) = (2, 2)")
-    kp = float(kperp_scalar(comp))
-    return (2.0 * rt.r1 + 2.0 * params.gamma * np.sign(kp) * rt.r3
-            - 2.0 * params.k * rt.r2
+    kp = kperp_scalar(h)
+    r3 = kp * (normA2 + 2.0 * traceless)
+    return (2.0 * r1 + 2.0 * params.gamma * np.sign(kp) * r3
+            - 2.0 * params.k * r2
             - 4.0 * kb * traceless + 2.0 * kb * normH2
             - 4.0 * params.k * kb * normH2
-            - 8.0 * params.gamma * kb * abs(kp))
+            - 8.0 * params.gamma * kb * np.abs(kp))
 
 
 # ---------------------------------------------------------------------------
@@ -225,38 +245,6 @@ def realize_argmax(params: ConeParams, argmax: dict):
     else:
         h = thm2_config_h(argmax["a"], argmax["b"], argmax["c"], argmax["hsq"])[0]
     return h, p
-
-
-def _thm1_reaction_batch(params: ConeParams, x, y, kb, hsq):
-    h = thm1_config_h(params.n, x, y, hsq)
-    r1 = r1_batch(h)
-    r2 = r2_batch(h)
-    _, normH2, traceless = norms_batch(h)
-    n = params.n
-    return (2.0 * r1 - 2.0 * params.alpha * r2
-            - 2.0 * n * kb * traceless
-            - 2.0 * n * (params.alpha - 1.0 / n) * kb * normH2)
-
-
-def _thm2_reaction_batch(params: ConeParams, a, b, c, kb, hsq):
-    """(R3 route, printed-R3 route).
-
-    sign(Kperp) R3 = |Kperp| (|A|^2 + 2|Atr|^2), as in reaction_of_Q.  The
-    second route adds the catalogued frame-dependent -2b^2 term, whose gap
-    to the first is the brute-vs-printed gap of kperp_checks.
-    """
-    h = thm2_config_h(a, b, c, hsq)
-    r1 = r1_batch(h)
-    r2 = r2_batch(h)
-    normA2, normH2, traceless = norms_batch(h)
-    kpa = np.abs(kperp_scalar(h))
-    common = (2.0 * r1 - 2.0 * params.k * r2
-              - 4.0 * kb * traceless + 2.0 * kb * normH2
-              - 4.0 * params.k * kb * normH2
-              - 8.0 * params.gamma * kb * kpa)
-    reaction = common + 2.0 * params.gamma * kpa * (normA2 + 2.0 * traceless)
-    printed = common + 2.0 * params.gamma * kpa * (normA2 + 2.0 * traceless - 2.0 * b * b)
-    return reaction, printed
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +327,12 @@ def _on_feasible(ok, values):
 def _eval_configs(params, stratum, coords):
     """Reaction on explicit free coordinates; infeasible entries -> -inf.
 
-    The feasibility mask comes first and the reaction is evaluated on the
-    feasible entries only.  Returns (values, printed_values, feasible_mask,
-    config_arrays) where config_arrays are the slice coordinates needed to
-    rebuild the point; they are meaningful at feasible entries only.
+    The feasibility mask comes first and _reaction is evaluated on the
+    feasible entries only.  The thm2 printed-R3 route is the reaction less
+    its pinned gap 4 gamma |Kperp| b^2, with |Kperp| = 2ac on the slice.
+    Returns (values, printed_values, feasible_mask, config_arrays) where
+    config_arrays are the slice coordinates needed to rebuild the point;
+    they are meaningful at feasible entries only.
     """
     if params.variant == "thm1":
         if stratum == "hzero":
@@ -360,7 +350,7 @@ def _eval_configs(params, stratum, coords):
             kb = np.clip(kb, 0.0, None)
             hsq = _feasible_thm1(params, x, y, kb)
             ok &= hsq >= 0.0
-        vals = _thm1_reaction_batch(params, x[ok], y[ok], kb[ok], hsq[ok])
+        vals = _reaction(params, thm1_config_h(params.n, x[ok], y[ok], hsq[ok]), kb[ok])
         return _on_feasible(ok, vals), None, ok, {"x": x, "y": y, "kbar": kb, "hsq": hsq}
     a, b, c = coords
     kb = 1.0 - (a * a + b * b + c * c)
@@ -372,7 +362,12 @@ def _eval_configs(params, stratum, coords):
     else:
         hsq = _feasible_thm2(params, a, b, c, kb)
         ok &= hsq >= 0.0
-    reaction, printed = _thm2_reaction_batch(params, a[ok], b[ok], c[ok], kb[ok], hsq[ok])
+    fa, fb, fc = a[ok], b[ok], c[ok]
+    # h stays bound until printed is computed: freed earlier, its pages go
+    # back to the OS and fault in again for the next temporaries
+    h = thm2_config_h(fa, fb, fc, hsq[ok])
+    reaction = _reaction(params, h, kb[ok])
+    printed = reaction - 4.0 * params.gamma * (2.0 * fa * fc) * (fb * fb)
     return (_on_feasible(ok, reaction), _on_feasible(ok, printed), ok,
             {"a": a, "b": b, "c": c, "kbar": kb, "hsq": hsq})
 
@@ -456,7 +451,8 @@ def _sup_at(params, resolution, stratum, chunk):
 
 def _with_constant(params, stratum, value):
     if params.variant == "thm2":
-        return replace(params, k=value, gamma=None, epsilon=None)
+        gamma, epsilon = _thm2_default_rules(value, params.delta)
+        return replace(params, k=value, gamma=gamma, epsilon=epsilon)
     if stratum == "hzero":
         return replace(params, beta=value)
     return replace(params, alpha=value)
@@ -488,7 +484,7 @@ def _critical_constant(params, grid):
         return _sup_at(p, res, stratum, chunk) > SUP_SIGN_TOL
 
     flags = [positive(cv) for cv in values]
-    brackets = [(float(values[i]), float(values[i + 1]))
+    brackets = [(float(values[i]), float(values[i + 1]), flags[i])
                 for i in range(len(values) - 1) if flags[i] != flags[i + 1]]
     if not brackets:
         notes.append("critical scan: no sign change of sup over [%.4f, %.4f]"
@@ -496,9 +492,8 @@ def _critical_constant(params, grid):
         return None, None, notes
     if len(brackets) > 1:
         notes.append("critical scan: multiple sign changes at %s; bisecting the first"
-                     % (["(%.4f, %.4f)" % b for b in brackets],))
-    lo, hi = brackets[0]
-    lo_pos = positive(lo)
+                     % (["(%.4f, %.4f)" % b[:2] for b in brackets],))
+    lo, hi, lo_pos = brackets[0]
     while hi - lo > BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
         if positive(mid) == lo_pos:
@@ -523,6 +518,10 @@ def reaction_sweep(params: ConeParams, grid: SweepGrid | None = None) -> SweepRe
         grid = SweepGrid()
     if grid.stratum == "hzero" and params.variant != "thm1":
         raise BadParams("the |H| = 0 stratum sweep is a thm1 construction")
+    if (grid.bisect and params.variant == "thm2"
+            and (params.gamma, params.epsilon) != _thm2_default_rules(params.k, params.delta)):
+        raise BadParams("the critical-k search resets gamma and epsilon to their default "
+                        "rules; with an explicit gamma or epsilon add --no-bisect")
 
     best, best_cfg, samples, printed_sup, center = _run_base_sweep(params, grid)
     base_best = best

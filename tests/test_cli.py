@@ -180,6 +180,7 @@ def test_bad_counts_exit_2(tmp_path, capsys, argv):
 
 
 SMALL_SWEEP = ["sweep", "--variant", "thm1", "--resolution", "8", "--no-bisect"]
+SMALL_THM2_SWEEP = ["sweep", "--variant", "thm2", "--resolution", "8", "--no-bisect"]
 TINY_FLOW = ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--t-max", "0.001"]
 
 
@@ -189,8 +190,18 @@ TINY_FLOW = ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--t-m
     TINY_FLOW + ["--direction", "7", "--mu", "3"],
     TINY_FLOW + ["--mu", "-1"],
     ["sweep", "--variant", "thm2", "--discriminant", "--resolution", "8", "--no-bisect"],
+    SMALL_SWEEP + ["--k", "0.3"],
+    SMALL_SWEEP + ["--gamma", "9"],
+    SMALL_SWEEP + ["--epsilon", "4"],
+    SMALL_SWEEP + ["--delta", "0.2"],
+    SMALL_THM2_SWEEP + ["--alpha", "9"],
+    SMALL_THM2_SWEEP + ["--beta", "7"],
+    TINY_FLOW + ["--cone", "thm1", "--k", "0.1", "--gamma", "3"],
+    TINY_FLOW + ["--cone", "thm2", "--alpha", "0.9"],
 ], ids=["cone_constants_without_cone", "delta_without_cone", "direction7_zero_amplitude",
-        "negative_mode_zero_amplitude", "thm2_discriminant"])
+        "negative_mode_zero_amplitude", "thm2_discriminant", "thm1_sweep_k",
+        "thm1_sweep_gamma", "thm1_sweep_epsilon", "thm1_sweep_delta", "thm2_sweep_alpha",
+        "thm2_sweep_beta", "thm1_flow_thm2_constants", "thm2_flow_alpha"])
 def test_options_that_would_be_ignored_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--output-dir", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -208,16 +219,30 @@ def test_flow_has_no_dimension_option(tmp_path):
     assert (cone["n"], cone["alpha"]) == (2, 0.9)
 
 
-def test_sweep_artifact_is_machine_independent(tmp_path, monkeypatch):
-    """The sweep artifact records nothing of the machine, so its bytes do
-    not depend on the PINCHFLOW_THREADS setting."""
+def test_sweep_artifact_is_machine_independent(tmp_path):
+    """The sweep artifact records nothing of the machine, such as a thread
+    count, so a rerun writes the same bytes."""
     texts = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("PINCHFLOW_THREADS", threads)
+    for _ in range(2):
         assert main(SMALL_SWEEP + ["--output-dir", str(tmp_path)]) == 0
         texts.append((tmp_path / "sweep_thm1_full.json").read_bytes())
     assert texts[0] == texts[1]
     assert "threads" not in read_json(tmp_path / "sweep_thm1_full.json")["config"]
+
+
+@pytest.mark.parametrize("option", [["--gamma", "0.05"], ["--epsilon", "0.1"]],
+                         ids=["gamma", "epsilon"])
+def test_thm2_critical_search_keeps_default_rules(tmp_path, capsys, option):
+    """The critical-k search moves gamma and epsilon with k by their default
+    rules, so a bisected thm2 sweep would drop an explicit gamma or epsilon:
+    it exits 2 and names --no-bisect, which sweeps the given cone."""
+    argv = ["sweep", "--variant", "thm2", "--resolution", "8"] + option
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert "--no-bisect" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+    assert main(argv + ["--no-bisect", "--output-dir", str(tmp_path)]) == 0
+    config = read_json(tmp_path / "sweep_thm2_full.json")["config"]
+    assert config[option[0][2:]] == float(option[1])
 
 
 @pytest.mark.parametrize("argv", [

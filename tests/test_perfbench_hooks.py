@@ -68,3 +68,24 @@ def test_traced_sweep_counts(tmp_path, argv, dim, artifact):
     samples = json.loads((tmp_path / artifact).read_text())["report"]["samples"]
     assert sum(info["pinching.lattice_chunk"]) == res ** dim
     assert info["pinching.base_sweep"] == [samples]
+
+
+@pytest.mark.parametrize("argv,passes", [
+    (["--variant", "thm1", "--stratum", "hzero", "--beta", "1.0"], 32),
+    (["--variant", "thm2"], 28),
+], ids=["hzero", "thm2"])
+def test_traced_critical_search_passes(tmp_path, argv, passes):
+    """A bisected sweep runs one lattice pass per scanned constant (21) and
+    one per halving of the first bracket (11 for hzero, 7 for thm2); the
+    bracket's low end reuses its scan flag instead of a second pass."""
+    from pinchflow.cli import main
+
+    tracer = tracing.Tracer("test")
+    tracer.install(WRAPS)
+    try:
+        rc = main(["sweep"] + argv + ["--resolution", "8", "--refine-rounds", "0",
+                                      "--output-dir", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert [span[2] for span in tracer.spans].count("pinching.sup_at") == passes

@@ -8,8 +8,7 @@ from pinchflow.errors import BadDims, BadParams, EmptyFeasibleSet
 from pinchflow.frames import specialize, split_traceless
 from pinchflow.identities import norms_batch
 from pinchflow.pinching import (ConeParams, SweepGrid, _eval_configs,
-                                _lattice_chunk, _thm1_reaction_batch,
-                                _thm2_reaction_batch, blowup_time,
+                                _lattice_chunk, _reaction, blowup_time,
                                 discriminant_report, harnack_bound, q_value,
                                 reaction_of_Q, reaction_sweep, realize_argmax,
                                 thm1_config_h, thm2_config_h)
@@ -235,9 +234,8 @@ def _eval_everything(params, stratum, coords):
         kb = np.full_like(x, 1.0 / (1.0 + params.beta))
         hsq = np.zeros_like(x)
         ok = (tau >= 0.0) & (tau <= 1.0)
-        raw = _thm1_reaction_batch(params, np.clip(x, 0.0, None),
-                                   np.clip(y, 0.0, None), kb, hsq)
-        return np.where(ok, raw, -np.inf), None, ok
+        h = thm1_config_h(params.n, np.clip(x, 0.0, None), np.clip(y, 0.0, None), hsq)
+        return np.where(ok, _reaction(params, h, kb), -np.inf), None, ok
     if params.variant == "thm1":
         x, y = coords
         kb = 1.0 - x - y
@@ -246,9 +244,8 @@ def _eval_everything(params, stratum, coords):
         hsq = (x + y - params.beta * kb) / (params.alpha - 1.0 / params.n)
         ok &= hsq >= 0.0
         hsq = np.where(ok, hsq, 0.0)
-        raw = _thm1_reaction_batch(params, np.clip(x, 0.0, None),
-                                   np.clip(y, 0.0, None), kb, hsq)
-        return np.where(ok, raw, -np.inf), None, ok
+        h = thm1_config_h(params.n, np.clip(x, 0.0, None), np.clip(y, 0.0, None), hsq)
+        return np.where(ok, _reaction(params, h, kb), -np.inf), None, ok
     a, b, c = coords
     kb = 1.0 - (a * a + b * b + c * c)
     ok = (a >= 0.0) & (b >= 0.0) & (c >= 0.0) & (kb >= -1e-15)
@@ -261,7 +258,8 @@ def _eval_everything(params, stratum, coords):
                - params.epsilon * kb) / (params.k - 0.5)
         ok &= hsq >= 0.0
         hsq = np.where(ok, hsq, 0.0)
-    reaction, printed = _thm2_reaction_batch(params, a, b, c, kb, hsq)
+    reaction = _reaction(params, thm2_config_h(a, b, c, hsq), kb)
+    printed = reaction - 4.0 * params.gamma * (2.0 * a * c) * (b * b)
     return np.where(ok, reaction, -np.inf), np.where(ok, printed, -np.inf), ok
 
 
@@ -296,6 +294,25 @@ def test_eval_configs_matches_evaluate_everything(case):
     else:
         assert printed is None and ref_printed is None
     assert ok.any() == (case not in ("thm2_infeasible_chunk", "thm2_k_half"))
+
+
+@pytest.mark.parametrize("params", [ConeParams("thm1", n=2), ConeParams("thm1", n=3),
+                                    ConeParams("thm1", n=4), ConeParams("thm2")],
+                         ids=["thm1_n2", "thm1_n3", "thm1_n4", "thm2"])
+def test_eval_configs_matches_reaction_of_q(params):
+    """The sweep's batched reaction agrees with reaction_of_Q at the realized
+    point, at 2000 seeded feasible slice points.  einsum reduces a one-point
+    batch in another order, so the two differ in the last bits; the scale is
+    max(1, |reaction|) because the reaction cancels towards 0 on the slice."""
+    rng = np.random.default_rng(20041)
+    dim = 3 if params.variant == "thm2" else 2
+    vals, _, ok, cfg = _eval_configs(params, "full", tuple(rng.random((dim, 8000))))
+    points = np.flatnonzero(ok)[:2000]
+    assert points.size == 2000
+    for i in points:
+        h, p = realize_argmax(params, {key: v[i] for key, v in cfg.items()})
+        ref = reaction_of_Q(h, p)
+        assert abs(vals[i] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_sweep_empty_feasible_set():
