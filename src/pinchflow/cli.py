@@ -20,6 +20,7 @@ import glob
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -194,18 +195,9 @@ def cmd_sweep(args) -> int:
                      stratum=args.stratum,
                      bisect=not args.no_bisect)
     report = reaction_sweep(params, grid)
-    payload = {
-        "command": "sweep",
-        "config": {
-            "variant": params.variant, "n": params.n, "alpha": params.alpha,
-            "beta": params.beta, "k": params.k, "gamma": params.gamma,
-            "epsilon": params.epsilon, "delta": params.delta,
-            "resolution": grid.resolution, "refine_rounds": grid.refine_rounds,
-            "chunk": grid.chunk, "stratum": grid.stratum,
-            "bisect": not args.no_bisect, "output_dir": args.output_dir,
-        },
-        "report": report.to_dict(),
-    }
+    config = {**asdict(params), **asdict(grid), "output_dir": args.output_dir}
+    del config["kbar"]  # a slice coordinate of the sweep, not a setting
+    payload = {"command": "sweep", "config": config, "report": asdict(report)}
     if args.discriminant:
         payload["discriminant"] = discriminant_report(params.n, params.alpha,
                                                       params.beta)
@@ -255,7 +247,7 @@ def cmd_flow(args) -> int:
             "t_max": args.t_max, "ceiling": args.ceiling, "stride": args.stride,
             "flat_threshold": args.flat_threshold, "flat_window": args.flat_window,
             "kbar": args.kbar, "sigma": args.sigma,
-            "cone": cfg.cone.describe() if cfg.cone is not None else None,
+            "cone": asdict(cfg.cone) if cfg.cone is not None else None,
             "harnack_csharp": args.harnack_csharp,
             "harnack_delta0": args.harnack_delta0,
             "output_dir": args.output_dir, "prefix": args.prefix,

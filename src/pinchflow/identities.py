@@ -195,12 +195,16 @@ def kperp_checks(h, kbar: float = 1.0) -> KperpChecks:
     read off the special frame, so Kperp*b^2 is not a polynomial in h,
     while the brute route is quartic.  brute - printed = 2*Kperp*b^2
     exactly, which keeps the discrepancy measurable instead of hidden.
+
+    li_li_margin is 3/2 |Atr|^4 - R1(Atr), Li-Li's bound on the traceless
+    part Atr = h - (H/2) g, so it is >= 0 and vanishes at umbilic h.
     """
     comp = np.asarray(h, dtype=float)
     if comp.shape[-3:] != (2, 2, 2):
         raise BadDims("kperp_checks requires (n, k) = (2, 2)")
     normA2, normH2, traceless = norms_batch(comp)
-    li_li = 1.5 * traceless * traceless - r1_batch(comp)
+    atr = comp - np.eye(2)[:, :, None] * (mean_vector(comp) / 2.0)[..., None, None, :]
+    li_li = 1.5 * traceless * traceless - r1_batch(atr)
     kp = kperp_scalar(comp)
     background = -4.0 * kbar * kp
     brute = _quartic_reaction(np.moveaxis(comp, -1, -3)) + background

@@ -21,13 +21,14 @@ only.  Every stratum is sampled on one kind of lattice, resolution evenly
 spaced values on [0, 1] per free coordinate: (x, y) = (|Atr1|^2, |Atr-|^2)
 for Thm1, (a, b, c) for Thm2, and the split tau = x / (x + y) on the Thm1
 |H| = 0 stratum.  Sweeps are deterministic: a fixed lattice, a serial pass
-over its chunks, and a (value, lexicographic-configuration) reduction that
-is independent of the chunk size.
+over its chunks, and one first-max reduction, _first_max, that base chunks
+and refinement rounds alike merge with `>`, so the lexicographically first
+maximum wins whatever the chunk size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -53,7 +54,9 @@ class ConeParams:
         defaults k = 29/40, gamma = 1 - (4/3)k - delta, epsilon = 4(k - 1/2);
         requires gamma >= 0, which caps k at 3(1 - delta)/4.  The catalogued
         statement uses k <= 29/40; larger k is allowed here so the critical
-        threshold can be located by bisection.
+        threshold can be located by bisection.  delta enters only through the
+        gamma rule, so a nonzero delta needs gamma by that rule.
+    Every constant must be finite, and the other variant's must be unset.
     """
 
     variant: str
@@ -67,14 +70,13 @@ class ConeParams:
     kbar: float = 1.0
 
     def __post_init__(self):
-        v = str(self.variant).strip().lower()
-        if v in ("thm1", "1"):
-            v = "thm1"
-        elif v in ("thm2", "2"):
-            v = "thm2"
-        else:
-            raise BadParams("variant must be thm1 or thm2, got %r" % (self.variant,))
-        self.variant = v
+        v = self.variant
+        if v not in ("thm1", "thm2"):
+            raise BadParams("variant must be thm1 or thm2, got %r" % (v,))
+        for name in ("alpha", "beta", "k", "gamma", "epsilon", "delta", "kbar"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise BadParams("%s must be finite, got %r" % (name, value))
         self.n = int(self.n)
         if self.n < 2:
             raise BadParams("need n >= 2")
@@ -103,21 +105,11 @@ class ConeParams:
                 self.epsilon = epsilon
             if self.gamma is None:
                 self.gamma = gamma
+            elif self.delta != 0 and self.gamma != gamma:
+                raise BadParams("delta enters only through the default gamma rule; "
+                                "an explicit gamma leaves it unused")
             if self.gamma < 0:
                 raise BadParams("thm2 needs gamma >= 0 (k too large for this delta)")
-
-    def describe(self) -> dict:
-        return {
-            "variant": self.variant,
-            "n": self.n,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "k": self.k,
-            "gamma": self.gamma,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "kbar": self.kbar,
-        }
 
 
 def _thm2_default_rules(k: float, delta: float):
@@ -293,29 +285,6 @@ class SweepReport:
     bracket_width: float | None
     notes: list
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "stratum": self.stratum,
-            "params": self.params,
-            "sup_value": self.sup_value,
-            "argmax": self.argmax,
-            "samples": self.samples,
-            "critical_constant": self.critical_constant,
-            "bracket_width": self.bracket_width,
-            "notes": list(self.notes),
-        }
-
-
-def _feasible_thm1(params, x, y, kb):
-    hsq = (x + y - params.beta * kb) / (params.alpha - 1.0 / params.n)
-    return hsq
-
-
-def _feasible_thm2(params, a, b, c, kb):
-    return (2.0 * (a * a + b * b + c * c) + 4.0 * params.gamma * a * c
-            - params.epsilon * kb) / (params.k - 0.5)
-
 
 def _on_feasible(ok, values):
     """Scatter values computed on the entries where ok holds; -inf elsewhere."""
@@ -348,7 +317,7 @@ def _eval_configs(params, stratum, coords):
             kb = 1.0 - x - y
             ok = (x >= 0.0) & (y >= 0.0) & (kb >= -1e-15)
             kb = np.clip(kb, 0.0, None)
-            hsq = _feasible_thm1(params, x, y, kb)
+            hsq = (x + y - params.beta * kb) / (params.alpha - 1.0 / params.n)
             ok &= hsq >= 0.0
         vals = _reaction(params, thm1_config_h(params.n, x[ok], y[ok], hsq[ok]), kb[ok])
         return _on_feasible(ok, vals), None, ok, {"x": x, "y": y, "kbar": kb, "hsq": hsq}
@@ -356,12 +325,9 @@ def _eval_configs(params, stratum, coords):
     kb = 1.0 - (a * a + b * b + c * c)
     ok = (a >= 0.0) & (b >= 0.0) & (c >= 0.0) & (kb >= -1e-15)
     kb = np.clip(kb, 0.0, None)
-    if abs(params.k - 0.5) < 1e-12:
-        ok &= False
-        hsq = np.zeros_like(a)
-    else:
-        hsq = _feasible_thm2(params, a, b, c, kb)
-        ok &= hsq >= 0.0
+    hsq = (2.0 * (a * a + b * b + c * c) + 4.0 * params.gamma * a * c
+           - params.epsilon * kb) / (params.k - 0.5)
+    ok &= hsq >= 0.0
     fa, fb, fc = a[ok], b[ok], c[ok]
     # h stays bound until printed is computed: freed earlier, its pages go
     # back to the OS and fault in again for the next temporaries
@@ -387,66 +353,63 @@ def _lattice_chunk(params, stratum, res, lo, hi):
     return tuple(i / (res - 1.0) for i in idx)
 
 
-def _chunk_size(params, grid):
+def _chunk_size(params, chunk):
     scale = (2.0 / params.n) ** 2
-    return max(1024, int(grid.chunk * scale))
+    return max(1024, int(chunk * scale))
 
 
-def _run_base_sweep(params, grid):
+def _first_max(coords, evaluated):
+    """(max, argmax config, feasible count, printed max, argmax free
+    coordinates) of evaluated = _eval_configs(params, stratum, coords).  The
+    first maximum in coordinate order wins; with no feasible entry the max
+    is -inf."""
+    vals, printed, ok, cfg = evaluated
+    pos = int(np.argmax(vals))
+    return (float(vals[pos]), {k: float(v[pos]) for k, v in cfg.items()}, int(ok.sum()),
+            -np.inf if printed is None else float(printed.max()),
+            [float(co[pos]) for co in coords])
+
+
+def _run_base_sweep(params, stratum, res, chunk):
     """(sup, argmax config, feasible samples, printed sup, argmax free
-    coordinates) over the base lattice."""
-    res = grid.resolution
-    stratum = grid.stratum
+    coordinates) over the base lattice, a chunk of configurations at a time."""
     total = res ** _free_dim(params, stratum)
-    chunk = _chunk_size(params, grid)
-    samples = 0
-    best = -np.inf
-    best_cfg = best_coords = None
-    printed_sup = -np.inf
-    for lo in range(0, total, chunk):  # lattice order: the first max wins
-        coords = _lattice_chunk(params, stratum, res, lo, min(lo + chunk, total))
-        vals, printed, ok, cfg = _eval_configs(params, stratum, coords)
-        count = int(ok.sum())
-        if count == 0:
-            continue
+    step = _chunk_size(params, chunk)
+    best, best_cfg, samples, printed_sup, best_coords = -np.inf, None, 0, -np.inf, None
+    for lo in range(0, total, step):  # lattice order: the first max wins
+        coords = _lattice_chunk(params, stratum, res, lo, min(lo + step, total))
+        # bound until the next chunk is evaluated: freed earlier, its pages go
+        # back to the OS and fault in again (a bisected thm2 sweep at res 32
+        # then takes 31k minor faults instead of 18k)
+        evaluated = _eval_configs(params, stratum, coords)
+        val, cfg, count, printed, at = _first_max(coords, evaluated)
         samples += count
-        pos = int(np.argmax(vals))  # first max = lexicographically smallest
-        if vals[pos] > best:
-            best = float(vals[pos])
-            best_cfg = {k: float(v[pos]) for k, v in cfg.items()}
-            best_coords = [float(co[pos]) for co in coords]
-        if printed is not None:
-            printed_sup = max(printed_sup, float(printed.max()))
+        printed_sup = max(printed_sup, printed)
+        if val > best:
+            best, best_cfg, best_coords = val, cfg, at
     return best, best_cfg, samples, printed_sup, best_coords
 
 
 def _refine(params, grid, best, best_cfg, center):
     """Local lattice refinement around the incumbent, whose free coordinates
     are center; monotone in sup."""
-    stratum = grid.stratum
     spacing = 1.0 / grid.resolution
     extra = 0
     for _ in range(grid.refine_rounds):
         axes = [np.linspace(co - spacing, co + spacing, 2 * REFINE_FACTOR + 1)
                 for co in center]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coords = tuple(m.reshape(-1) for m in mesh)
-        vals, _, ok, cfg = _eval_configs(params, stratum, coords)
-        extra += int(ok.sum())
-        pos = int(np.argmax(vals))
-        if np.isfinite(vals[pos]) and vals[pos] > best:
-            best = float(vals[pos])
-            best_cfg = {k: float(v[pos]) for k, v in cfg.items()}
-            center = [float(co[pos]) for co in coords]
+        coords = tuple(m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij"))
+        val, cfg, count, _, at = _first_max(coords,
+                                            _eval_configs(params, grid.stratum, coords))
+        extra += count
+        if val > best:
+            best, best_cfg, center = val, cfg, at
         spacing /= REFINE_FACTOR
     return best, best_cfg, extra
 
 
 def _sup_at(params, resolution, stratum, chunk):
-    g = SweepGrid(resolution=resolution, refine_rounds=0, chunk=chunk,
-                  stratum=stratum, bisect=False)
-    best, cfg = _run_base_sweep(params, g)[:2]
-    return best if cfg is not None else -np.inf
+    return _run_base_sweep(params, stratum, resolution, chunk)[0]
 
 
 def _with_constant(params, stratum, value):
@@ -522,8 +485,11 @@ def reaction_sweep(params: ConeParams, grid: SweepGrid | None = None) -> SweepRe
             and (params.gamma, params.epsilon) != _thm2_default_rules(params.k, params.delta)):
         raise BadParams("the critical-k search resets gamma and epsilon to their default "
                         "rules; with an explicit gamma or epsilon add --no-bisect")
+    if params.variant == "thm2" and abs(params.k - 0.5) < 1e-12:
+        raise BadParams("at k = 1/2 |H|^2 drops out of Q, so Q = 0 does not fix it")
 
-    best, best_cfg, samples, printed_sup, center = _run_base_sweep(params, grid)
+    best, best_cfg, samples, printed_sup, center = _run_base_sweep(
+        params, grid.stratum, grid.resolution, grid.chunk)
     base_best = best
     if best_cfg is None:
         raise EmptyFeasibleSet("no feasible configuration on the Q = 0 slice")
@@ -552,7 +518,7 @@ def reaction_sweep(params: ConeParams, grid: SweepGrid | None = None) -> SweepRe
     return SweepReport(
         variant=params.variant,
         stratum=grid.stratum,
-        params=params.describe(),
+        params=asdict(params),
         sup_value=sup,
         argmax=best_cfg,
         samples=int(samples),

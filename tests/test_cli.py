@@ -198,14 +198,33 @@ TINY_FLOW = ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--t-m
     SMALL_THM2_SWEEP + ["--beta", "7"],
     TINY_FLOW + ["--cone", "thm1", "--k", "0.1", "--gamma", "3"],
     TINY_FLOW + ["--cone", "thm2", "--alpha", "0.9"],
+    SMALL_THM2_SWEEP + ["--gamma", "0.1", "--delta", "0.2"],
+    TINY_FLOW + ["--cone", "thm2", "--gamma", "0.1", "--delta", "0.2"],
 ], ids=["cone_constants_without_cone", "delta_without_cone", "direction7_zero_amplitude",
         "negative_mode_zero_amplitude", "thm2_discriminant", "thm1_sweep_k",
         "thm1_sweep_gamma", "thm1_sweep_epsilon", "thm1_sweep_delta", "thm2_sweep_alpha",
-        "thm2_sweep_beta", "thm1_flow_thm2_constants", "thm2_flow_alpha"])
+        "thm2_sweep_beta", "thm1_flow_thm2_constants", "thm2_flow_alpha",
+        "thm2_sweep_gamma_delta", "thm2_flow_gamma_delta"])
 def test_options_that_would_be_ignored_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--output-dir", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("argv,name", [
+    (SMALL_SWEEP + ["--alpha", "inf"], "alpha"),
+    (SMALL_SWEEP + ["--beta", "nan"], "beta"),
+    (SMALL_THM2_SWEEP + ["--k", "inf"], "k"),
+    (TINY_FLOW + ["--cone", "thm1", "--alpha", "nan"], "alpha"),
+    (TINY_FLOW + ["--cone", "thm2", "--delta", "inf"], "delta"),
+], ids=["sweep_alpha_inf", "sweep_beta_nan", "thm2_sweep_k_inf", "flow_alpha_nan",
+        "thm2_flow_delta_inf"])
+def test_non_finite_cone_constant_exits_2(tmp_path, capsys, argv, name):
+    """A non-finite constant is rejected by name before it can turn the
+    reactions or the monitored Q into NaN."""
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+    assert "%s must be finite" % name in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_flow_has_no_dimension_option(tmp_path):

@@ -263,6 +263,24 @@ def test_li_li_margin_random_traceless():
     assert margin.min() >= -1e-12
 
 
+def test_li_li_margin_vanishes_at_umbilic_h():
+    """An umbilic h = t g nu has no traceless part, so the Li-Li margin is 0."""
+    t = np.array([0.5, 1.0, 2.0, 3.0])[:, None, None, None]
+    nu = np.array([0.6, 0.8])
+    h = t * np.eye(2)[None, :, :, None] * nu
+    chk = kperp_checks(h)
+    assert np.abs(chk.li_li_margin).max() <= 1e-12
+
+
+def test_li_li_margin_random_with_mean_curvature():
+    """The margin is Li-Li's bound on the traceless part, so it holds for h
+    with H != 0 too."""
+    rng = np.random.default_rng(29)
+    h = random_h(rng, 4000)
+    assert np.abs(mean_vector(h)).min() > 0.0
+    assert kperp_checks(h).li_li_margin.min() >= -1e-12
+
+
 def test_kperp_checks_rejects_wrong_dims():
     with pytest.raises(BadDims):
         kperp_checks(np.zeros((2, 2, 3)))

@@ -1,5 +1,7 @@
 """Pinching quantities, cone reactions, sweeps, and closed-form utilities."""
 
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,34 @@ def test_cone_params_default_resolution():
 def test_cone_params_gamma_must_be_nonnegative():
     with pytest.raises(BadParams):
         ConeParams("thm2", k=0.8)  # gamma = 1 - 4k/3 < 0
+
+
+@pytest.mark.parametrize("variant,name", [
+    ("thm1", "alpha"), ("thm1", "beta"), ("thm1", "kbar"), ("thm2", "k"),
+    ("thm2", "gamma"), ("thm2", "epsilon"), ("thm2", "delta"), ("thm2", "kbar"),
+])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_cone_params_reject_non_finite_constants(variant, name, value):
+    with pytest.raises(BadParams, match="%s must be finite" % name):
+        ConeParams(variant, **{name: value})
+
+
+def test_cone_params_delta_needs_the_gamma_rule():
+    """delta enters only through the default gamma rule: with it the cone
+    accepts delta (and keeps it through replace), with an explicit gamma off
+    the rule it rejects a nonzero delta."""
+    p = ConeParams("thm2", k=0.6, delta=0.1)
+    assert abs(p.gamma - (1.0 - 4.0 * 0.6 / 3.0 - 0.1)) < 1e-15
+    assert replace(p, kbar=0.5).gamma == p.gamma
+    assert ConeParams("thm2", gamma=0.1).delta == 0.0
+    with pytest.raises(BadParams, match="explicit gamma"):
+        ConeParams("thm2", gamma=0.1, delta=0.2)
+
+
+def test_cone_params_variant_is_thm1_or_thm2():
+    for variant in ("1", "2", "THM1"):
+        with pytest.raises(BadParams):
+            ConeParams(variant)
 
 
 def test_q_value_geodesic_sphere_thm1():
@@ -185,8 +215,8 @@ def test_sweep_argmax_reproduces_sup():
 def test_sweep_determinism():
     params = ConeParams("thm1", n=2)
     grid = SweepGrid(resolution=30, refine_rounds=1, bisect=False)
-    a = reaction_sweep(params, grid).to_dict()
-    b = reaction_sweep(params, grid).to_dict()
+    a = asdict(reaction_sweep(params, grid))
+    b = asdict(reaction_sweep(params, grid))
     assert a == b
 
 
@@ -195,7 +225,7 @@ def test_sweep_determinism():
 def test_sweep_independent_of_chunk_size(params):
     """Chunk size changes the pass over the lattice, never the report: one
     chunk or fourteen."""
-    a, b = (reaction_sweep(params, SweepGrid(resolution=24, chunk=chunk)).to_dict()
+    a, b = (asdict(reaction_sweep(params, SweepGrid(resolution=24, chunk=chunk)))
             for chunk in (1024, 131072))
     assert a == b
 
@@ -205,8 +235,8 @@ def test_thm1_sweep_independent_of_chunk_size(n):
     """The thm1 lattice has resolution^2 points: at resolution 64 that is
     four chunks of 1024 configurations or one chunk."""
     params = ConeParams("thm1", n=n)
-    a, b = (reaction_sweep(params, SweepGrid(resolution=64, chunk=chunk,
-                                             bisect=False)).to_dict()
+    a, b = (asdict(reaction_sweep(params, SweepGrid(resolution=64, chunk=chunk,
+                                                    bisect=False)))
             for chunk in (1024 * (n // 2) ** 2, 131072))
     assert a == b
 
@@ -250,29 +280,23 @@ def _eval_everything(params, stratum, coords):
     kb = 1.0 - (a * a + b * b + c * c)
     ok = (a >= 0.0) & (b >= 0.0) & (c >= 0.0) & (kb >= -1e-15)
     kb = np.clip(kb, 0.0, None)
-    if abs(params.k - 0.5) < 1e-12:
-        ok &= False
-        hsq = np.zeros_like(a)
-    else:
-        hsq = (2.0 * (a * a + b * b + c * c) + 4.0 * params.gamma * a * c
-               - params.epsilon * kb) / (params.k - 0.5)
-        ok &= hsq >= 0.0
-        hsq = np.where(ok, hsq, 0.0)
+    hsq = (2.0 * (a * a + b * b + c * c) + 4.0 * params.gamma * a * c
+           - params.epsilon * kb) / (params.k - 0.5)
+    ok &= hsq >= 0.0
+    hsq = np.where(ok, hsq, 0.0)
     reaction = _reaction(params, thm2_config_h(a, b, c, hsq), kb)
     printed = reaction - 4.0 * params.gamma * (2.0 * a * c) * (b * b)
     return np.where(ok, reaction, -np.inf), np.where(ok, printed, -np.inf), ok
 
 
 # (params, stratum, lattice index range) at resolution 24.  thm2's chunk
-# [13272, 13824) has a = 1 and b > 0, outside the ball, so no feasible point;
-# at k = 0.5 no point is feasible
+# [13272, 13824) has a = 1 and b > 0, outside the ball, so no feasible point
 FEASIBLE_CASES = {
     "thm1_n2": (ConeParams("thm1", n=2), "full", (0, 24 ** 2)),
     "thm1_n3": (ConeParams("thm1", n=3), "full", (192, 384)),
     "thm1_n4": (ConeParams("thm1", n=4), "full", (0, 24 ** 2)),
     "thm2": (ConeParams("thm2"), "full", (0, 24 ** 3)),
     "thm2_infeasible_chunk": (ConeParams("thm2"), "full", (13272, 24 ** 3)),
-    "thm2_k_half": (ConeParams("thm2", k=0.5), "full", (0, 24 ** 3)),
     "hzero": (ConeParams("thm1", n=2, beta=1.0), "hzero", (0, 24)),
 }
 
@@ -293,7 +317,15 @@ def test_eval_configs_matches_evaluate_everything(case):
         assert np.all(printed[~ok] == -np.inf)
     else:
         assert printed is None and ref_printed is None
-    assert ok.any() == (case not in ("thm2_infeasible_chunk", "thm2_k_half"))
+    assert ok.any() == (case != "thm2_infeasible_chunk")
+
+
+def test_sweep_rejects_thm2_k_half():
+    """At k = 1/2 the |H|^2 terms of Q cancel, so Q = 0 cannot fix |H|^2: the
+    sweep is rejected before its first chunk."""
+    with pytest.raises(BadParams, match=r"\|H\|\^2 drops out of Q"):
+        reaction_sweep(ConeParams("thm2", k=0.5),
+                       SweepGrid(resolution=24, refine_rounds=0, bisect=False))
 
 
 @pytest.mark.parametrize("params", [ConeParams("thm1", n=2), ConeParams("thm1", n=3),
