@@ -255,6 +255,7 @@ def cmd_flow(args) -> int:
         "outcome": result.outcome,
         "final_t": result.final_state.t,
         "steps": result.final_state.step_index,
+        "evaluations": result.final_state.evaluations,
         "extinction_time": result.extinction_time,
         "records": len(result.records),
         "radius_trajectory": [[t, r] for t, r in result.radius_trajectory],
@@ -382,11 +383,12 @@ def build_parser():
     p.add_argument("--mu", type=int, default=2)
     p.add_argument("--mv", type=int, default=2)
     p.add_argument("--direction", type=int, default=0)
-    p.add_argument("--scheme", choices=["euler", "rk2"], default="euler")
+    p.add_argument("--scheme", choices=flow_mod.SCHEMES, default="rkl2")
     p.add_argument("--cfl", type=float, default=0.2)
     p.add_argument("--t-max", type=float, default=1.0)
     p.add_argument("--ceiling", type=float, default=1e6)
-    p.add_argument("--stride", type=int, default=25)
+    p.add_argument("--stride", type=int, default=25,
+                   help="velocity evaluations between monitor records")
     p.add_argument("--flat-threshold", type=float, default=1e-4)
     p.add_argument("--flat-window", type=int, default=50)
     p.add_argument("--kbar", type=float, default=1.0)

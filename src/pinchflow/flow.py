@@ -6,15 +6,26 @@ sphere, and a monitor pipeline recording every trackable curvature quantity.
 Latitude-longitude sphere grids get two stabilizers: pole rows are refreshed
 from the adjacent latitude after each stage, and a zonal low-pass filter
 removes longitudinal modes finer than the local physical resolution (the
-usual cure for the pole clustering of such grids).
+usual cure for the pole clustering of such grids).  Every stage of every
+scheme goes through the same restabilization, _restabilize.
+
+Three schemes share the Euler step dt_E = cfl * h^2 / max(1, a2_max):
+euler takes it, rk2 takes it with a midpoint stage, and rkl2 (the default)
+takes one Runge-Kutta-Legendre super-step of s <= RKL2_MAX_STAGES stages
+(Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014), whose stability
+interval grows like s^2 while its cost grows like s.  Every scheme shortens
+its last step so that the flow lands on t_max.  A step counts its velocity
+evaluations (1, 2 and s), and run takes a monitor record after each step
+that crosses a multiple of the stride in that count.
 
 The time stepper uses a lean velocity evaluation (projection of the
 chart-trace of the second derivatives onto the normal space), which needs no
 normal frames; full frame-based geometry is computed only at monitor strides.
 Everything from the grid samples to the monitor record is component-major,
 the small axes first and the grid axes last, so stencils, dot products, FFTs
-and frame contractions run over whole grid planes; a step copies the samples
-once and updates that copy in place.  The tables that depend only on the
+and frame contractions run over whole grid planes; an Euler stage copies the
+samples once and updates that copy in place, and an RKL2 stage builds its
+combination of earlier stages as one new array.  The tables that depend only on the
 grid shape (the stencil gather and the zonal mode mask) are built once per
 shape.  run evaluates each surface's jets once and hands the same tuple to
 monitor and to the next step.
@@ -44,6 +55,19 @@ FILTER_FRACTION = 0.75      # resolvable share of the zonal band (_zonal_filter)
 SHRINK_AREA_FRAC = 0.05     # Shrinking: final area below this share of the initial
 SHRINK_RATIO_TOL = 0.1      # Shrinking: |A|^2/|H|^2 within this of 1/2
 RADIUS_AXIS = 3             # ambient axis of a geodesic sphere's radius trajectory
+SCHEMES = ("euler", "rk2", "rkl2")
+# RKL2 super-step rules.  The s-stage recurrence is stable for steps up to
+# dt_E (s^2 + s - 2) / 4, but the per-stage projection (pole refresh,
+# renormalization, zonal filter) lies outside that linear analysis: on the
+# criterion-6 flow s = 12 at the full bound blew up and s = 16 at 0.6 of it
+# lost the extinction estimate, while s <= 12 at 0.7 of it passes.
+RKL2_MAX_STAGES = 12
+RKL2_SAFETY = 0.7
+# Accuracy cap tau <= RKL2_ACCURACY / max(1, a2_max): |A|^2 sets the rate at
+# which curvature changes, so this bounds the change of one super-step.
+# Without it a 12 x 24 geodesic sphere crossed its extinction time in one
+# super-step, from t = 0, and the run could not classify it.
+RKL2_ACCURACY = 0.05
 
 
 @dataclass
@@ -52,6 +76,7 @@ class FlowState:
     step_index: int
     surface: GridSurface
     dt_last: float
+    evaluations: int = 0             # velocity evaluations of the steps so far
 
 
 @dataclass
@@ -79,13 +104,13 @@ class MonitorRecord:
 
 @dataclass
 class FlowConfig:
-    scheme: str = "euler"            # "euler" | "rk2"
+    scheme: str = "rkl2"             # one of SCHEMES
     cfl: float = 0.2
     t_max: float = 1.0
     blowup_ceiling: float = 1e6
     flat_threshold: float = 1e-4
     flat_window: int = 50            # consecutive monitor records below threshold
-    stride: int = 25                 # steps between monitor records
+    stride: int = 25                 # velocity evaluations between monitor records
     sigma: float = 0.5               # grad_ratio exponent: |grad A|^2 / g^(2 - sigma)
     kbar: float = 1.0
     cone: ConeParams | None = None   # evaluated at this config's kbar
@@ -93,8 +118,11 @@ class FlowConfig:
     harnack_delta0: float | None = None
 
     def __post_init__(self):
-        if self.scheme not in ("euler", "rk2"):
-            raise BadParams("scheme must be euler or rk2")
+        if self.scheme not in SCHEMES:
+            raise BadParams("scheme must be one of %s" % ", ".join(SCHEMES))
+        for name in ("cfl", "t_max", "sigma", "blowup_ceiling", "flat_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise BadParams("%s must be finite" % name)
         if self.cfl <= 0 or self.t_max <= 0:
             raise BadParams("cfl and t_max must be positive")
         if self.stride < 1 or self.flat_window < 1:
@@ -213,41 +241,110 @@ def _zonal_filter(samples: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n=samples.shape[-1], axis=-1)
 
 
-def _advance(surface: GridSurface, vel_valid: np.ndarray, dt: float) -> GridSurface:
-    """Move the valid rows by dt * vel_valid (d, r, nv) and restabilize."""
-    samples = surface.samples.copy()
-    samples[:, surface.valid_rows] += dt * vel_valid
+def _restabilize(surface: GridSurface, samples: np.ndarray) -> GridSurface:
+    """surface with new samples (d, nu, nv), projected back onto the sphere.
+
+    Sphere grids also get the pole refresh and the zonal filter.  samples
+    is updated in place.
+    """
     if surface.topology == "sphere":
         _refresh_poles(samples)
         samples = _zonal_filter(_unit(samples), _zonal_mask(surface.nu, surface.nv))
     return surface.copy_with(_unit(samples))
 
 
-def step(state: FlowState, jets, scheme: str = "euler", cfl: float = 0.2,
-         ceiling: float = 1e6) -> FlowState:
-    """One explicit step with dt = cfl * (min spacing)^2 / max(1, a2_max).
+def _advance(surface: GridSurface, vel_valid: np.ndarray, dt: float) -> GridSurface:
+    """Move the valid rows by dt * vel_valid (d, r, nv) and restabilize."""
+    samples = surface.samples.copy()
+    samples[:, surface.valid_rows] += dt * vel_valid
+    return _restabilize(surface, samples)
 
-    jets is batch_jets(state.surface).
-    """
-    surf = state.surface
+
+def _checked_velocity(jets, ceiling: float, t: float):
+    """(velocity, a2_max) of one surface's jets; BlowupDetected past ceiling."""
     vel, a2 = _lean_velocity(*jets)
     a2max = float(a2.max())
     if not math.isfinite(a2max) or a2max > ceiling:
         raise BlowupDetected("a2_max = %.6e beyond ceiling %.3e at t = %.8f"
-                             % (a2max, ceiling, state.t))
+                             % (a2max, ceiling, t))
+    return vel, a2max
+
+
+def _rkl2_coefficients(s: int):
+    """(mu, nu, 1 - mu - nu, mu~, gamma~) of the s-stage RKL2 recurrence.
+
+    Each is a list indexed by the stage j = 0 .. s; entries a stage does not
+    use are 0.  From b_j = (j^2 + j - 2) / (2 j (j + 1)) with
+    b_0 = b_1 = b_2 = 1/3, a_j = 1 - b_j and w_1 = 4 / (s^2 + s - 2).
+    """
+    b = [1.0 / 3.0, 1.0 / 3.0] + [(j * j + j - 2.0) / (2.0 * j * (j + 1.0))
+                                  for j in range(2, s + 1)]
+    w1 = 4.0 / (s * s + s - 2.0)
+    mu, nu, rest, mut, gamt = ([0.0] * (s + 1) for _ in range(5))
+    mut[1] = b[1] * w1
+    for j in range(2, s + 1):
+        mu[j] = (2.0 * j - 1.0) / j * b[j] / b[j - 1]
+        nu[j] = -(j - 1.0) / j * b[j] / b[j - 2]
+        rest[j] = 1.0 - mu[j] - nu[j]
+        mut[j] = mu[j] * w1
+        gamt[j] = -(1.0 - b[j - 1]) * mut[j]
+    return mu, nu, rest, mut, gamt
+
+
+def _rkl2_plan(dt_euler: float, a2max: float, remaining: float):
+    """(tau, s) of one RKL2 super-step: the fewest stages whose safe reach
+    covers the accuracy target, capped at RKL2_MAX_STAGES."""
+    target = min(RKL2_ACCURACY / max(1.0, a2max), remaining)
+    for s in range(2, RKL2_MAX_STAGES + 1):
+        reach = RKL2_SAFETY * dt_euler * (s * s + s - 2.0) / 4.0
+        if reach >= target:
+            break
+    return min(target, reach), s
+
+
+def _rkl2(surf: GridSurface, vel0: np.ndarray, tau: float, s: int,
+          ceiling: float, t: float) -> GridSurface:
+    """One s-stage RKL2 super-step of length tau from surf, whose velocity
+    is vel0; each stage is restabilized and its a2_max checked."""
+    mu, nu, rest, mut, gamt = _rkl2_coefficients(s)
+    rows = surf.valid_rows
+    prev2, prev = surf, _advance(surf, vel0, mut[1] * tau)
+    for j in range(2, s + 1):
+        vel, _ = _checked_velocity(batch_jets(prev), ceiling, t)
+        samples = mu[j] * prev.samples + nu[j] * prev2.samples + rest[j] * surf.samples
+        samples[:, rows] += (mut[j] * tau) * vel + (gamt[j] * tau) * vel0
+        prev2, prev = prev, _restabilize(surf, samples)
+    return prev
+
+
+def step(state: FlowState, jets, scheme: str = "rkl2", cfl: float = 0.2,
+         ceiling: float = 1e6, t_max: float = math.inf) -> FlowState:
+    """One step of scheme from the Euler step dt_E = cfl * (min spacing)^2 /
+    max(1, a2_max), shortened to land on t_max.
+
+    jets is batch_jets(state.surface).  euler and rk2 step by dt_E; rkl2
+    takes one super-step sized by _rkl2_plan.
+    """
+    surf = state.surface
+    vel, a2max = _checked_velocity(jets, ceiling, state.t)
     dt = cfl * min(surf.du, surf.dv) ** 2 / max(1.0, a2max)
+    remaining = t_max - state.t
     if scheme == "euler":
+        dt, evals = min(dt, remaining), 1
         new = _advance(surf, vel, dt)
     elif scheme == "rk2":
+        dt, evals = min(dt, remaining), 2
         mid = _advance(surf, vel, 0.5 * dt)
-        vel2, a2b = _lean_velocity(*batch_jets(mid))
-        if float(a2b.max()) > ceiling:
-            raise BlowupDetected("a2_max exceeded ceiling at the RK2 midpoint")
+        vel2, _ = _checked_velocity(batch_jets(mid), ceiling, state.t)
         new = _advance(surf, vel2, dt)
+    elif scheme == "rkl2":
+        dt, evals = _rkl2_plan(dt, a2max, remaining)
+        new = _rkl2(surf, vel, dt, evals, ceiling, state.t)
     else:
-        raise BadParams("scheme must be euler or rk2")
-    return FlowState(t=state.t + dt, step_index=state.step_index + 1,
-                     surface=new, dt_last=dt)
+        raise BadParams("scheme must be one of %s" % ", ".join(SCHEMES))
+    t = t_max if dt >= remaining else state.t + dt
+    return FlowState(t=t, step_index=state.step_index + 1, surface=new, dt_last=dt,
+                     evaluations=state.evaluations + evals)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +527,10 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
             outcome = "Inconclusive"
             notes.append("step budget exhausted at t = %.6f" % state.t)
             break
+        evaluated = state.evaluations
         try:
             state = step(state, jets, scheme=cfg.scheme, cfl=cfg.cfl,
-                         ceiling=cfg.blowup_ceiling)
+                         ceiling=cfg.blowup_ceiling, t_max=cfg.t_max)
         except BlowupDetected as exc:
             notes.append(str(exc))
             aborted = True
@@ -442,7 +540,7 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
             aborted = True
             break
         jets = batch_jets(state.surface)
-        if state.step_index % cfg.stride == 0:
+        if state.evaluations // cfg.stride > evaluated // cfg.stride:
             rec = monitor(state.surface, jets, cfg, state.t)
             records.append(rec)
             if axis is not None:
@@ -453,15 +551,17 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
                 break
 
     if aborted:
-        try:
-            # a failed step leaves state, and so jets, at the last surface
-            rec = monitor(state.surface, jets, cfg, state.t)
-            records.append(rec)
-            if axis is not None:
-                radius.append((state.t, _mean_radius(state.surface, axis)))
-        except (DegenerateJet, OffSphere) as exc:
-            notes.append("final monitor unavailable (%s); classifying from last record"
-                         % exc)
+        # a failed step leaves state, and so jets, at the last surface; the
+        # last record holds it already if that step was monitored
+        if records[-1].t != state.t:
+            try:
+                rec = monitor(state.surface, jets, cfg, state.t)
+                records.append(rec)
+                if axis is not None:
+                    radius.append((state.t, _mean_radius(state.surface, axis)))
+            except (DegenerateJet, OffSphere) as exc:
+                notes.append("final monitor unavailable (%s); classifying from last record"
+                             % exc)
         last = records[-1]
         shrunk = (last.area < SHRINK_AREA_FRAC * initial_area
                   and math.isfinite(last.ratio_max)

@@ -123,6 +123,40 @@ def test_flow_artifacts(tmp_path):
     assert data["radius_trajectory"][0][1] > 1.0  # starts near pi/3
 
 
+@pytest.mark.parametrize("scheme", ["euler", "rk2", "rkl2"])
+def test_flow_aborted_after_a_monitored_step_records_it_once(tmp_path, scheme):
+    """A step that hits the ceiling right after a monitored step leaves the
+    run on the surface the last record already holds: no second record at
+    the same t, so the extinction estimate has two distinct records."""
+    assert main(["flow", "--surface", "geodesic-sphere", "--nu", "16", "--nv", "32",
+                 "--ceiling", "1e3", "--stride", "1", "--scheme", scheme,
+                 "--output-dir", str(tmp_path)]) == 0
+    times = [line.split(",")[0]
+             for line in (tmp_path / "monitor.csv").read_text().splitlines()[1:]]
+    data = read_json(tmp_path / "flow.json")
+    assert len(set(times)) == len(times) == data["records"]
+    assert data["outcome"] == "Shrinking"
+    assert data["extinction_time"] is not None
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk2", "rkl2"])
+@pytest.mark.parametrize("t_max", [0.001, 0.05])
+def test_flow_lands_on_t_max(tmp_path, scheme, t_max):
+    assert main(["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8",
+                 "--scheme", scheme, "--t-max", repr(t_max),
+                 "--output-dir", str(tmp_path)]) == 0
+    data = read_json(tmp_path / "flow.json")
+    assert data["outcome"] == "Inconclusive"
+    assert data["final_t"] == t_max
+    lines = (tmp_path / "snapshot_final.txt").read_text().splitlines()
+    assert lines[0].endswith(" t=%r" % t_max)
+    # the surface moved for t_max, not for a whole Euler step of 0.05: the
+    # product torus r1 = 0.6, r2 = 0.8 keeps cos 2theta = (r1^2 - r2^2) e^{4t}
+    r1 = np.hypot(*map(float, lines[1].split()[2:4]))
+    c = (0.6 ** 2 - 0.8 ** 2) * np.exp(4.0 * t_max)
+    assert abs(r1 - np.sqrt((1.0 + c) / 2.0)) <= 5e-3
+
+
 def test_flow_degenerate_perturbation_exits_3(tmp_path, capsys):
     rc = main(["flow", "--surface", "geodesic-sphere", "--rho", str(np.pi / 3),
                "--nu", "32", "--nv", "64", "--amplitude", "2.0",
@@ -200,11 +234,20 @@ TINY_FLOW = ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--t-m
     TINY_FLOW + ["--cone", "thm2", "--alpha", "0.9"],
     SMALL_THM2_SWEEP + ["--gamma", "0.1", "--delta", "0.2"],
     TINY_FLOW + ["--cone", "thm2", "--gamma", "0.1", "--delta", "0.2"],
+    TINY_FLOW + ["--cfl", "nan"],
+    TINY_FLOW + ["--cfl", "inf"],
+    TINY_FLOW + ["--t-max", "nan"],
+    TINY_FLOW + ["--t-max", "inf"],
+    TINY_FLOW + ["--sigma", "nan"],
+    TINY_FLOW + ["--ceiling", "inf"],
+    TINY_FLOW + ["--flat-threshold=-inf"],
 ], ids=["cone_constants_without_cone", "delta_without_cone", "direction7_zero_amplitude",
         "negative_mode_zero_amplitude", "thm2_discriminant", "thm1_sweep_k",
         "thm1_sweep_gamma", "thm1_sweep_epsilon", "thm1_sweep_delta", "thm2_sweep_alpha",
         "thm2_sweep_beta", "thm1_flow_thm2_constants", "thm2_flow_alpha",
-        "thm2_sweep_gamma_delta", "thm2_flow_gamma_delta"])
+        "thm2_sweep_gamma_delta", "thm2_flow_gamma_delta", "flow_cfl_nan", "flow_cfl_inf",
+        "flow_t_max_nan", "flow_t_max_inf", "flow_sigma_nan", "flow_ceiling_inf",
+        "flow_flat_threshold_neg_inf"])
 def test_options_that_would_be_ignored_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--output-dir", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err

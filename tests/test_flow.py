@@ -6,8 +6,9 @@ import pytest
 import pinchflow.flow
 from pinchflow.canonical import make_surface, perturb, sample_grid
 from pinchflow.errors import Extinct
-from pinchflow.flow import (CSV_HEADER, FILTER_FRACTION, FlowConfig, FlowState,
-                            _lean_velocity, _refresh_poles, _zonal_mask,
+from pinchflow.flow import (CSV_HEADER, FILTER_FRACTION, RKL2_ACCURACY,
+                            RKL2_MAX_STAGES, RKL2_SAFETY, SCHEMES, FlowConfig,
+                            FlowState, _lean_velocity, _refresh_poles, _zonal_mask,
                             mcf_velocity, monitor, read_snapshot, run,
                             sphere_extinction_time, sphere_ode_oracle, step,
                             write_monitor_csv, write_snapshot)
@@ -98,9 +99,20 @@ def test_rk2_tracks_sphere_ode_better_than_euler():
     assert errs["rk2"] < errs["euler"]
 
 
+def test_rkl2_small_sphere_ends_shrinking_near_extinction():
+    """The accuracy cap keeps super-steps short of the extinction time: on
+    this grid the stability bound alone allows one super-step from t = 0 to
+    past it.  Beyond a2_max ~ 1e2 the 12 x 24 grid no longer resolves the
+    cap, hence the low ceiling."""
+    res = run(geodesic_grid(np.pi / 3, 12, 24), FlowConfig(t_max=1.0, blowup_ceiling=1e2))
+    t_star = sphere_extinction_time(np.pi / 3, 2)
+    assert res.outcome == "Shrinking"
+    assert abs(res.extinction_time - t_star) <= 0.05 * t_star
+
+
 def test_run_cfl_too_large_blows_up():
     grid = geodesic_grid(np.pi / 3, 32, 64)
-    res = run(grid, FlowConfig(t_max=1.0, cfl=10.0))
+    res = run(grid, FlowConfig(scheme="euler", t_max=1.0, cfl=10.0))
     assert res.outcome == "NumericalBlowup"
     assert any("ceiling" in note for note in res.notes)
 
@@ -145,7 +157,8 @@ def test_monitor_cone_uses_the_flow_kbar():
     assert abs(q[1] - 4.0 * q[0]) <= 1e-12 * abs(4.0 * q[0])
 
 
-def test_run_evaluates_jets_once_per_step(monkeypatch):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_evaluates_jets_once_per_velocity_evaluation(monkeypatch, scheme):
     calls = []
 
     def counted(surface):
@@ -154,10 +167,36 @@ def test_run_evaluates_jets_once_per_step(monkeypatch):
 
     monkeypatch.setattr(pinchflow.flow, "batch_jets", counted)
     grid = sample_grid(make_surface("flat-torus"), 16, 16)
-    res = run(grid, FlowConfig(cone=ConeParams("thm1", n=2), stride=1, t_max=0.1))
+    res = run(grid, FlowConfig(scheme=scheme, cone=ConeParams("thm1", n=2), stride=1,
+                               t_max=0.1))
     steps = res.final_state.step_index
     assert steps > 1 and len(res.records) == steps + 1
-    assert len(calls) <= steps + 2
+    # the initial surface's jets, then one per velocity evaluation: the
+    # monitor and the next step share the jets of each new surface
+    assert len(calls) == res.final_state.evaluations + 1
+
+
+@pytest.mark.parametrize("scheme,per_step", [("euler", 1), ("rk2", 2), ("rkl2", None)])
+def test_stride_counts_velocity_evaluations(monkeypatch, scheme, per_step):
+    """A record follows each step that crosses a multiple of stride in the
+    running count of velocity evaluations."""
+    states = []
+
+    def recorded(*args, **kwargs):
+        states.append(step(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(pinchflow.flow, "step", recorded)
+    stride = 7
+    res = run(geodesic_grid(np.pi / 3, 12, 24), FlowConfig(scheme=scheme, t_max=0.3,
+                                                          stride=stride))
+    evals = [0] + [st.evaluations for st in states]
+    if per_step is not None:
+        assert evals == list(range(0, per_step * len(states) + 1, per_step))
+    crossed = [st.t for st, a, b in zip(states, evals, evals[1:])
+               if b // stride > a // stride]
+    assert [rec.t for rec in res.records] == [0.0] + crossed
+    assert 1 < len(crossed) < len(states)
 
 
 def test_monitor_csv_deterministic(tmp_path):
@@ -274,6 +313,60 @@ def _reference_steps(grid, scheme, steps, cfl=0.2):
     return samples, t
 
 
+def _reference_rkl2_steps(grid, steps, cfl=0.2):
+    """(samples (nu, nv, d), t) after steps point-major RKL2 super-steps.
+
+    The s-stage recurrence of Meyer, Balsara & Aslam (2014), written out
+    with the point-major reference jets and restabilization above:
+    Y_1 = Y_0 + mu~_1 tau L(Y_0), and for j = 2 .. s
+    Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + (1 - mu_j - nu_j) Y_0
+          + mu~_j tau L(Y_{j-1}) + gamma~_j tau L(Y_0).
+    """
+    samples = np.ascontiguousarray(np.moveaxis(grid.samples, 0, -1))
+    t = 0.0
+
+    def jets(x):
+        return _reference_jets(grid.topology, grid.valid_rows, grid.du, grid.dv, x)
+
+    for _ in range(steps):
+        vel0, a2 = _lean_velocity(*jets(samples))
+        a2max = float(a2.max())
+        dt_e = cfl * min(grid.du, grid.dv) ** 2 / max(1.0, a2max)
+        target = RKL2_ACCURACY / max(1.0, a2max)
+        for s in range(2, RKL2_MAX_STAGES + 1):
+            if RKL2_SAFETY * dt_e * (s * s + s - 2.0) / 4.0 >= target:
+                break
+        tau = min(target, RKL2_SAFETY * dt_e * (s * s + s - 2.0) / 4.0)
+        b = [1.0 / 3.0, 1.0 / 3.0] + [(j * j + j - 2.0) / (2.0 * j * (j + 1.0))
+                                      for j in range(2, s + 1)]
+        w1 = 4.0 / (s * s + s - 2.0)
+        ys = [samples, _reference_advance(grid, samples, vel0, b[1] * w1 * tau)]
+        for j in range(2, s + 1):
+            mu = (2.0 * j - 1.0) / j * b[j] / b[j - 1]
+            nu = -(j - 1.0) / j * b[j] / b[j - 2]
+            mut = mu * w1
+            gamt = -(1.0 - b[j - 1]) * mut
+            vel, _ = _lean_velocity(*jets(ys[-1]))
+            combo = mu * ys[-1] + nu * ys[-2] + (1.0 - mu - nu) * samples
+            # dt = 1.0 adds the stage's velocity terms exactly, then restabilizes
+            ys.append(_reference_advance(grid, combo, (mut * tau) * vel + (gamt * tau) * vel0,
+                                         1.0))
+        samples = ys[-1]
+        t = t + tau
+    return samples, t
+
+
+def test_rkl2_matches_point_major_reference():
+    grid = perturb(make_surface("geodesic-sphere"), (2, 2), 0.05, 16, 32)
+    state = FlowState(0.0, 0, grid, 0.0)
+    for _ in range(5):
+        state = step(state, batch_jets(state.surface), "rkl2", 0.2, 1e6)
+    ref, t = _reference_rkl2_steps(grid, 5)
+    assert state.evaluations > 10
+    assert np.array_equal(state.surface.samples, np.moveaxis(ref, -1, 0))
+    assert state.t == t
+
+
 @pytest.mark.parametrize("kind,nu,nv,scheme", [
     ("geodesic-sphere", 16, 32, "euler"),
     ("geodesic-sphere", 16, 32, "rk2"),
@@ -294,8 +387,8 @@ def test_stepper_matches_point_major_reference(kind, nu, nv, scheme):
 
 def test_run_builds_grid_tables_once():
     grid = geodesic_grid(np.pi / 3, 12, 24)
-    state = step(FlowState(0.0, 0, grid, 0.0), batch_jets(grid))
+    state = step(FlowState(0.0, 0, grid, 0.0), batch_jets(grid), "euler")
     misses = (_stencil_index.cache_info().misses, _zonal_mask.cache_info().misses)
-    res = run(state.surface, FlowConfig(t_max=0.2, stride=5))
+    res = run(state.surface, FlowConfig(scheme="euler", t_max=0.2, stride=5))
     assert res.final_state.step_index > 5
     assert (_stencil_index.cache_info().misses, _zonal_mask.cache_info().misses) == misses
