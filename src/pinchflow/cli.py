@@ -27,10 +27,11 @@ import numpy as np
 from . import canonical as canonical_mod
 from . import flow as flow_mod
 from .errors import (BadDims, BadParams, EmptyFeasibleSet, PinchflowError)
-# specialize is no longer called here (kperp_checks returns its frame), but
-# perfbench/tracing.py wraps it under this module's name
+# specialize and r1_batch are not called here (kperp_checks returns the frame
+# and the Li-Li margin); perfbench/tracing.py wraps them under this module
 from .frames import reconstruct, specialize  # noqa: F401
-from .identities import (kperp_checks, kperp_scalar, norms_batch, r1_batch,
+from .identities import r1_batch  # noqa: F401
+from .identities import (kperp_checks, kperp_scalar, norms_batch,
                          rm_perp_squared, z_brute_batch)
 from .pinching import ConeParams, SweepGrid, discriminant_report, reaction_sweep
 from .tensor_kernel import point_geometry
@@ -52,20 +53,14 @@ def _random_h(rng, trials):
     return 0.5 * (h + np.swapaxes(h, 1, 2))
 
 
-def _traceless(h):
-    mean = np.einsum("...iia->...a", h)
-    out = h.copy()
-    for i in range(2):
-        out[:, i, i, :] -= mean / 2.0
-    return out
-
-
 def cmd_verify(args) -> int:
     trials = args.trials
     if trials < 1:
         raise BadParams("--trials must be at least 1")
-    rng = np.random.default_rng(args.seed)
     tol = args.tol
+    if not (np.isfinite(tol) and tol > 0):
+        raise BadParams("--tol must be finite and positive, got %r" % tol)
+    rng = np.random.default_rng(args.seed)
     h = _random_h(rng, trials)
 
     zb = z_brute_batch(h)
@@ -77,10 +72,8 @@ def cmd_verify(args) -> int:
     rm2 = rm_perp_squared(h)
     rm_resid = float((np.abs(rm2 - 4.0 * kp * kp) / (1.0 + rm2)).max())
 
-    ht = _traceless(h)
-    li_min = float((1.5 * norms_batch(ht)[2] ** 2 - r1_batch(ht)).min())
-
     chk = kperp_checks(h, kbar=1.0)
+    li_min = float(chk.li_li_margin.min())
     scale = 1.0 + np.abs(chk.reaction_brute)
     brute_closed_resid = float(
         (np.abs(chk.reaction_brute - chk.reaction_closed) / scale).max())

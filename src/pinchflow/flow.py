@@ -517,7 +517,7 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
     initial_area = records[0].area
     flat_count = 1 if records[0].a2_max < cfg.flat_threshold else 0
     outcome = None
-    aborted = False
+    aborted = unmonitored = False
 
     while True:
         if state.t >= cfg.t_max:
@@ -541,7 +541,12 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
             break
         jets = batch_jets(state.surface)
         if state.evaluations // cfg.stride > evaluated // cfg.stride:
-            rec = monitor(state.surface, jets, cfg, state.t)
+            try:
+                rec = monitor(state.surface, jets, cfg, state.t)
+            except (DegenerateJet, OffSphere) as exc:
+                notes.append("monitor failed mid-run: %s; classifying from last record" % exc)
+                aborted = unmonitored = True
+                break
             records.append(rec)
             if axis is not None:
                 radius.append((state.t, _mean_radius(state.surface, axis)))
@@ -551,9 +556,9 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
                 break
 
     if aborted:
-        # a failed step leaves state, and so jets, at the last surface; the
-        # last record holds it already if that step was monitored
-        if records[-1].t != state.t:
+        # a failed step or monitor leaves state, and so jets, at the last
+        # surface; monitor it unless that was done already or is what failed
+        if records[-1].t != state.t and not unmonitored:
             try:
                 rec = monitor(state.surface, jets, cfg, state.t)
                 records.append(rec)

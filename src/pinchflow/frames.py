@@ -2,7 +2,8 @@
 
 For (n, k) = (2, 2) the second fundamental form reduces, after rotating the
 normal frame so nu_1 points along the mean curvature vector and rotating the
-tangent frame to diagonalize h.nu_1, to four numbers (a, b, c, |H|):
+tangent frame to diagonalize h.nu_1 (in closed form, no eigen-solver), to
+four numbers (a, b, c, |H|):
 
     h . nu_1 = [[|H|/2 + a, 0], [0, |H|/2 - a]]
     h . nu_2 = [[b, c], [c, -b]]
@@ -14,7 +15,8 @@ When H = 0 the frame is under-determined; the fallback rule (documented
 below) picks nu_1 as the normal direction maximizing |h . nu|, with ties
 broken in favor of the first input normal direction.  This reproduces the
 minimal-surface computations that use (a, b, c) without a mean-curvature
-direction.
+direction.  specialize and reconstruct take point-major h (..., 2, 2, 2)
+and compute component-major, entry by entry over whole batch planes.
 """
 
 from __future__ import annotations
@@ -101,54 +103,56 @@ def specialize(h) -> ABCFrame:
     The returned rotations satisfy: rotating the input normal frame by
     normal_rotation and the tangent frame by tangent_rotation puts h into
     the canonical (a, b, c, |H|) shape.  Both are proper rotations, so the
-    sign of the normal curvature is preserved: K_perp(input) = 2ac.
+    sign of the normal curvature is preserved: K_perp(input) = 2ac.  The
+    tangent rotation by theta = atan2(q, (p - r)/2)/2 puts the larger
+    eigenvalue of h . nu_1 = [[p, q], [q, r]] first: a = hypot((p - r)/2, q).
+    A tie (a = 0) takes theta = pi/2, as eigh does for a multiple of I.
     """
     comp = np.asarray(h, dtype=float)
     if comp.shape[-3:] != (2, 2, 2):
         raise BadDims("specialize requires (n, k) = (2, 2), got shape %s" % (comp.shape,))
-    amats = np.moveaxis(comp, -1, -3)  # (..., k, n, n)
-    _, h_norm, u = _first_normal(amats)
+    _, h_norm, u = _first_normal(np.moveaxis(comp, -1, -3))
     # proper rotation sending the input normal frame to (nu1, nu2)
     nrot = np.empty(u.shape + (2,))
     nrot[..., 0, :] = u
     nrot[..., 1, 0] = -u[..., 1]
     nrot[..., 1, 1] = u[..., 0]
-    aprime = np.einsum("...ab,...bij->...aij", nrot, amats)
 
-    _, evecs = np.linalg.eigh(aprime[..., 0, :, :])
-    # rows of the tangent rotation: descending eigenvalue order gives the
-    # nonnegative gap a; the second row is flipped where needed for det = +1
-    e1, e2 = evecs[..., :, 1], evecs[..., :, 0]
-    flip = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0] < 0
-    e2 = np.where(flip[..., None], -e2, e2)
-
-    def form(x, alpha, y):  # x . A'_alpha . y
-        return np.einsum("...i,...ij,...j->...", x, aprime[..., alpha, :, :], y)
-
+    c = np.moveaxis(comp, (-3, -2, -1), (0, 1, 2))  # (i, j, alpha, ...)
+    u0, u1 = u[..., 0], u[..., 1]
+    p, q, r = (u0 * c[i, j, 0] + u1 * c[i, j, 1] for i, j in ((0, 0), (0, 1), (1, 1)))
+    m00, m01, m10, m11 = (u0 * c[i, j, 1] - u1 * c[i, j, 0]
+                          for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    half_gap = 0.5 * (p - r)
+    a = np.hypot(half_gap, q)
+    theta = 0.5 * np.arctan2(q, np.where(a == 0.0, -1.0, half_gap))
+    cs, sn = np.cos(theta), np.sin(theta)
     return ABCFrame(
-        a=0.5 * (form(e1, 0, e1) - form(e2, 0, e2)),
-        b=form(e1, 1, e1),
-        c=form(e1, 1, e2),
+        a=a,
+        b=cs * cs * m00 + cs * sn * (m01 + m10) + sn * sn * m11,   # e1 . A'_2 . e1
+        c=cs * cs * m01 - sn * sn * m10 + cs * sn * (m11 - m00),   # e1 . A'_2 . e2
         h_norm=h_norm,
-        tangent_rotation=np.stack([e1, e2], axis=-2),
+        # rows e1 = (cos, sin), e2 = (-sin, cos): det = +1 by construction
+        tangent_rotation=np.stack([np.stack([cs, sn], -1), np.stack([-sn, cs], -1)], -2),
         normal_rotation=nrot,
     )
 
 
 def reconstruct(frame: ABCFrame) -> np.ndarray:
-    """Rebuild h (in the original input frames) from an ABCFrame, batched."""
-    half = 0.5 * frame.h_norm
-    canon = np.zeros(np.shape(frame.h_norm) + (2, 2, 2))  # (..., normal, i, j)
-    canon[..., 0, 0, 0] = half + frame.a
-    canon[..., 0, 1, 1] = half - frame.a
-    canon[..., 1, 0, 0] = frame.b
-    canon[..., 1, 1, 1] = -frame.b
-    canon[..., 1, 0, 1] = frame.c
-    canon[..., 1, 1, 0] = frame.c
-    trot = frame.tangent_rotation[..., None, :, :]
-    ap = np.swapaxes(trot, -1, -2) @ canon @ trot
-    amats = np.einsum("...ab,...aij->...bij", frame.normal_rotation, ap)
-    return np.moveaxis(amats, -3, -1)
+    """Rebuild h (in the original input frames) from an ABCFrame, batched:
+    h_{ij alpha} = sum_beta N_{beta alpha} (T^t A'_beta T)_{ij}, plane by plane."""
+    e1, e2 = frame.tangent_rotation[..., 0, :], frame.tangent_rotation[..., 1, :]
+    nrot = frame.normal_rotation
+    d1, d2 = 0.5 * frame.h_norm + frame.a, 0.5 * frame.h_norm - frame.a
+    out = np.empty((2, 2, 2) + np.shape(frame.h_norm))  # (i, j, alpha, ...)
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        x, y = e1[..., i] * e1[..., j], e2[..., i] * e2[..., j]
+        first = d1 * x + d2 * y
+        second = frame.b * (x - y) + frame.c * (e1[..., i] * e2[..., j] + e2[..., i] * e1[..., j])
+        for alpha in range(2):
+            out[i, j, alpha] = out[j, i, alpha] = (nrot[..., 0, alpha] * first
+                                                   + nrot[..., 1, alpha] * second)
+    return np.moveaxis(out, (0, 1, 2), (-3, -2, -1))
 
 
 def split_traceless(h) -> TracelessSplit:

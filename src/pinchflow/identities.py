@@ -154,8 +154,9 @@ class KperpChecks:
     frame: ABCFrame
 
 
-def _quartic_reaction(amats: np.ndarray) -> np.ndarray:
-    """Quartic part of the Kperp reaction, batched over amats (..., k, n, n).
+def _quartic_reaction(c: np.ndarray) -> np.ndarray:
+    """Quartic part of the Kperp reaction, batched over component-major
+    c = h_{ij alpha} of shape (n, n, k, ...).
 
     The bracketed quartic sums of the normal-curvature evolution, one
     n x n matrix per normal direction,
@@ -165,19 +166,15 @@ def _quartic_reaction(amats: np.ndarray) -> np.ndarray:
 
     paired with h through the product rule for the Rperp component.
     """
-    s = np.einsum("...aij,...bij->...ab", amats, amats)
-    p = np.einsum("...aip,...apj->...ij", amats, amats)
-    rmats = (
-        np.einsum("...ab,...bij->...aij", s, amats)
-        + np.einsum("...ip,...apj->...aij", p, amats)
-        + np.einsum("...aip,...pj->...aij", amats, p)
-        - 2.0 * np.einsum("...bip,...apq,...bqj->...aij", amats, amats, amats)
+    p = np.einsum("ipa...,pja...->ij...", c, c)
+    r = (
+        np.einsum("ab...,ijb...->ija...", _s_matrix(c), c)
+        + np.einsum("ip...,pja...->ija...", p, c)
+        + np.einsum("ipa...,pj...->ija...", c, p)
+        - 2.0 * np.einsum("ipb...,pqa...,qjb...->ija...", c, c, c)
     )
-    a1, a2 = amats[..., 0, :, :], amats[..., 1, :, :]
-    r1m, r2m = rmats[..., 0, :, :], rmats[..., 1, :, :]
-    return np.sum(r1m[..., 0, :] * a2[..., 1, :] + a1[..., 0, :] * r2m[..., 1, :]
-                  - r1m[..., 1, :] * a2[..., 0, :] - a1[..., 1, :] * r2m[..., 0, :],
-                  axis=-1)
+    return np.sum(r[0, :, 0] * c[1, :, 1] + c[0, :, 0] * r[1, :, 1]
+                  - r[1, :, 0] * c[0, :, 1] - c[1, :, 0] * r[0, :, 1], axis=0)
 
 
 def kperp_checks(h, kbar: float = 1.0) -> KperpChecks:
@@ -207,7 +204,7 @@ def kperp_checks(h, kbar: float = 1.0) -> KperpChecks:
     li_li = 1.5 * traceless * traceless - r1_batch(atr)
     kp = kperp_scalar(comp)
     background = -4.0 * kbar * kp
-    brute = _quartic_reaction(np.moveaxis(comp, -1, -3)) + background
+    brute = _quartic_reaction(_components(comp)) + background
     closed = kp * (normA2 + 2.0 * traceless) + background
     frame = specialize(comp)
     printed = kp * (normA2 + 2.0 * traceless - 2.0 * frame.b ** 2) + background

@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import pinchflow.flow
 from pinchflow.cli import main
+from pinchflow.errors import DegenerateJet
+from pinchflow.flow import monitor
 
 
 def read_json(path):
@@ -157,6 +160,31 @@ def test_flow_lands_on_t_max(tmp_path, scheme, t_max):
     assert abs(r1 - np.sqrt((1.0 + c) / 2.0)) <= 5e-3
 
 
+def test_flow_monitor_failure_mid_run_writes_artifacts(tmp_path, monkeypatch):
+    """A monitor that fails inside the loop ends the run like a failed step:
+    a note, a verdict from the records so far, and every artifact written."""
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args[-1])
+        if len(calls) == 3:
+            raise DegenerateJet("min Gram determinant 0")
+        return monitor(*args, **kwargs)
+
+    monkeypatch.setattr(pinchflow.flow, "monitor", failing)
+    assert main(["flow", "--surface", "geodesic-sphere", "--nu", "12", "--nv", "24",
+                 "--stride", "1", "--t-max", "1", "--output-dir", str(tmp_path)]) == 0
+    data = read_json(tmp_path / "flow.json")
+    assert len(calls) == 3 and data["records"] == 2
+    assert data["outcome"] == "NumericalBlowup"
+    assert data["notes"] == ["monitor failed mid-run: min Gram determinant 0; "
+                             "classifying from last record"]
+    assert data["final_t"] == calls[-1] > calls[-2]
+    assert len((tmp_path / "monitor.csv").read_text().splitlines()) == 3
+    assert (tmp_path / "snapshot_final.txt").read_text().splitlines()[0].endswith(
+        " t=%r" % calls[-1])
+
+
 def test_flow_degenerate_perturbation_exits_3(tmp_path, capsys):
     rc = main(["flow", "--surface", "geodesic-sphere", "--rho", str(np.pi / 3),
                "--nu", "32", "--nv", "64", "--amplitude", "2.0",
@@ -193,6 +221,10 @@ def test_report_flags_unreadable_artifact(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "--trials", "0"],
     ["verify", "--trials", "-3"],
+    ["verify", "--tol", "inf"],
+    ["verify", "--tol", "nan"],
+    ["verify", "--tol", "-1"],
+    ["verify", "--tol", "0"],
     ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--stride", "0"],
     ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--stride", "-5"],
     ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--flat-window", "0"],
@@ -205,9 +237,9 @@ def test_report_flags_unreadable_artifact(tmp_path, capsys):
     ["flow", "--surface", "geodesic-sphere", "--nu", "16", "--nv", "32", "--kbar", "0"],
     ["flow", "--surface", "geodesic-sphere", "--nu", "16", "--nv", "32", "--kbar", "-1"],
     ["flow", "--surface", "geodesic-sphere", "--nu", "16", "--nv", "32", "--kbar", "nan"],
-], ids=["trials0", "trials-3", "stride0", "stride-5", "flat_window0", "sphere_nv15",
-        "sphere_nu3", "sphere_nv0", "sphere_nv2", "torus_nu0", "torus_nv2",
-        "kbar0", "kbar_neg", "kbar_nan"])
+], ids=["trials0", "trials-3", "tol_inf", "tol_nan", "tol_neg", "tol0", "stride0",
+        "stride-5", "flat_window0", "sphere_nv15", "sphere_nu3", "sphere_nv0", "sphere_nv2",
+        "torus_nu0", "torus_nv2", "kbar0", "kbar_neg", "kbar_nan"])
 def test_bad_counts_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--output-dir", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pinchflow.errors import BadDims
-from pinchflow.frames import reconstruct, specialize, split_traceless
+from pinchflow.frames import (ABCFrame, _first_normal, reconstruct, specialize,
+                              split_traceless)
 from pinchflow.identities import kperp_checks, kperp_scalar, norms_batch
 
 
@@ -120,6 +121,66 @@ def test_batched_stack_matches_rows():
     assert fr.h_norm[0] == 0.0 and abs(fr.a[1] - 1.0) < 1e-12 and abs(fr.a[2] - r) < 1e-10
     with pytest.raises(BadDims):
         specialize(np.zeros((1200, 3, 3, 2)))
+
+
+def _eigh_specialize(h):
+    """The eigh-based specialize the closed-form tangent rotation replaced,
+    kept as a test-only reference: LAPACK eigenvectors of h . nu_1 in
+    descending order, the second flipped where needed for det = +1."""
+    amats = np.moveaxis(h, -1, -3)
+    _, h_norm, u = _first_normal(amats)
+    nrot = np.empty(u.shape + (2,))
+    nrot[..., 0, :] = u
+    nrot[..., 1, 0] = -u[..., 1]
+    nrot[..., 1, 1] = u[..., 0]
+    aprime = np.einsum("...ab,...bij->...aij", nrot, amats)
+    _, evecs = np.linalg.eigh(aprime[..., 0, :, :])
+    e1, e2 = evecs[..., :, 1], evecs[..., :, 0]
+    flip = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0] < 0
+    e2 = np.where(flip[..., None], -e2, e2)
+
+    def form(x, alpha, y):
+        return np.einsum("...i,...ij,...j->...", x, aprime[..., alpha, :, :], y)
+
+    return ABCFrame(a=0.5 * (form(e1, 0, e1) - form(e2, 0, e2)), b=form(e1, 1, e1),
+                    c=form(e1, 1, e2), h_norm=h_norm,
+                    tangent_rotation=np.stack([e1, e2], axis=-2), normal_rotation=nrot)
+
+
+def edge_rows():
+    """Zero forms, tied h . nu_1 (q = 0, p = r) with zeros of either sign,
+    and the H = 0 fallback rows of test_batched_stack_matches_rows."""
+    r = 1.0 / np.sqrt(3.0)
+    second = np.array([[0.3, 0.5], [0.5, -0.3]])
+    rows = [np.zeros((2, 2, 2)), np.full((2, 2, 2), -0.0)]
+    for scale in (1.0, -1.0, 2.5):
+        for zero in (0.0, -0.0):
+            tied = np.array([[scale, zero], [zero, scale]])
+            for first, other in ((tied, second), (second, tied), (tied, np.zeros((2, 2)))):
+                rows.append(np.stack([first, other], axis=-1))
+    rows.append(np.stack([np.diag([1.0, -1.0]), np.zeros((2, 2))], axis=-1))
+    rows.append(np.stack([np.diag([r, -r]), np.array([[0.0, r], [r, 0.0]])], axis=-1))
+    return np.stack(rows)
+
+
+def test_closed_form_frame_matches_eigh_reference():
+    """a, b, c and |H| agree with the eigh route to roundoff, the normal
+    rotation exactly and the tangent rotation up to the eigenvectors' sign,
+    on 10k random rows and on the zero, tied and H = 0 edge rows."""
+    rng = np.random.default_rng(1616)
+    h = np.concatenate([edge_rows(), random_h(rng, 10000)])
+    got, want = specialize(h), _eigh_specialize(h)
+    for name in ("a", "b", "c", "h_norm"):
+        assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-13, name
+    assert np.array_equal(got.normal_rotation, want.normal_rotation)
+    sign = np.where(np.einsum("...ij,...ij->...", got.tangent_rotation,
+                              want.tangent_rotation) < 0, -1.0, 1.0)
+    assert np.abs(got.tangent_rotation - sign[:, None, None] * want.tangent_rotation).max() \
+        <= 1e-13
+    det = (got.tangent_rotation[:, 0, 0] * got.tangent_rotation[:, 1, 1]
+           - got.tangent_rotation[:, 0, 1] * got.tangent_rotation[:, 1, 0])
+    assert np.abs(det - 1.0).max() <= 1e-15 and got.a.min() >= 0.0
+    assert np.abs(reconstruct(got) - h).max() <= 1e-13
 
 
 def test_split_traceless_flat_torus_values():

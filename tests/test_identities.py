@@ -11,7 +11,8 @@ import pytest
 from pinchflow.canonical import make_surface, perturb, sample_grid
 from pinchflow.errors import BadDims, InsufficientStencil
 from pinchflow.grids import batch_jets
-from pinchflow.identities import (gradient_margins, kperp_checks,
+from pinchflow.identities import (_components, _quartic_reaction,
+                                  gradient_margins, kperp_checks,
                                   kperp_scalar, mean_vector, norms_batch,
                                   r1_batch, r2_batch, reaction_terms,
                                   rm_perp_squared, s_matrix, z_brute_batch)
@@ -224,6 +225,39 @@ def test_kperp_checks_frozen_example():
     assert abs(chk.frame.a - 0.7) < 1e-10
     assert abs(chk.frame.b - 0.3) < 1e-10
     assert abs(chk.frame.c - 0.5) < 1e-10
+
+
+def _point_major_quartic(amats):
+    """The point-major route _quartic_reaction replaced, kept as a test-only
+    reference: the same index sums over trailing (..., k, n, n) axes."""
+    s = np.einsum("...aij,...bij->...ab", amats, amats)
+    p = np.einsum("...aip,...apj->...ij", amats, amats)
+    rmats = (
+        np.einsum("...ab,...bij->...aij", s, amats)
+        + np.einsum("...ip,...apj->...aij", p, amats)
+        + np.einsum("...aip,...pj->...aij", amats, p)
+        - 2.0 * np.einsum("...bip,...apq,...bqj->...aij", amats, amats, amats)
+    )
+    a1, a2 = amats[..., 0, :, :], amats[..., 1, :, :]
+    r1m, r2m = rmats[..., 0, :, :], rmats[..., 1, :, :]
+    return np.sum(r1m[..., 0, :] * a2[..., 1, :] + a1[..., 0, :] * r2m[..., 1, :]
+                  - r1m[..., 1, :] * a2[..., 0, :] - a1[..., 1, :] * r2m[..., 0, :],
+                  axis=-1)
+
+
+def test_quartic_reaction_matches_point_major_reference():
+    """The component-major brute quartic equals the point-major one to
+    roundoff, relative to the quartic's scale |A|^4, row by row."""
+    rng = np.random.default_rng(1616)
+    h = random_h(rng, 10000)
+    h[:2] = 0.0
+    h[1, :, :, 0] = np.diag([1.0, -1.0])
+    got = _quartic_reaction(_components(h))
+    want = _point_major_quartic(np.moveaxis(h, -1, -3))
+    assert got.shape == (10000,) and got[0] == 0.0
+    assert np.all(np.abs(got - want) <= 1e-13 * norms_batch(h)[0] ** 2)
+    chk = kperp_checks(h, kbar=0.0)
+    assert np.array_equal(chk.reaction_brute, got)
 
 
 def test_kperp_gap_identity_random():
