@@ -144,7 +144,7 @@ def make_surface(kind: str, **params) -> CanonicalSurface:
         r2 = params.pop("r2", 0.8)
         if params:
             raise BadParams("unknown flat-torus parameters %s" % sorted(params))
-        if r1 <= 0 or r2 <= 0 or abs(r1 * r1 + r2 * r2 - 1.0) > 1e-12:
+        if not (r1 > 0 and r2 > 0 and abs(r1 * r1 + r2 * r2 - 1.0) <= 1e-12):  # NaN fails
             raise BadParams("need r1, r2 > 0 with r1^2 + r2^2 = 1")
         k1, k2 = r2 / r1, -r1 / r2
         h = k1 + k2
@@ -332,6 +332,8 @@ def perturb(surface: CanonicalSurface, mode=(2, 2), amplitude: float = 0.0,
         raise BadParams("mode wavenumbers must be nonnegative integers")
     if direction not in (0, 1):
         raise BadParams("direction must be 0 or 1")
+    if not np.isfinite(amplitude):
+        raise BadParams("amplitude must be finite")
     grid = sample_grid(surface, nu, nv)
     if amplitude == 0.0:
         return grid

@@ -20,7 +20,7 @@ import glob
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -35,6 +35,10 @@ from .identities import (kperp_checks, kperp_scalar, norms_batch,
                          rm_perp_squared, z_brute_batch)
 from .pinching import ConeParams, SweepGrid, discriminant_report, reaction_sweep
 from .tensor_kernel import point_geometry
+
+
+# the cone constants that sweep and flow take as flags, each defaulting to ConeParams'
+CONE_FLAGS = ("alpha", "beta", "k", "gamma", "epsilon", "delta")
 
 
 def _emit(payload: dict, path: str) -> str:
@@ -53,13 +57,19 @@ def _random_h(rng, trials):
     return 0.5 * (h + np.swapaxes(h, 1, 2))
 
 
+def _tolerance(args) -> float:
+    """args.tol, which must be finite and positive: at inf every check
+    passes, and at NaN or below zero every check fails."""
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise BadParams("--tol must be finite and positive, got %r" % args.tol)
+    return args.tol
+
+
 def cmd_verify(args) -> int:
     trials = args.trials
     if trials < 1:
         raise BadParams("--trials must be at least 1")
-    tol = args.tol
-    if not (np.isfinite(tol) and tol > 0):
-        raise BadParams("--tol must be finite and positive, got %r" % tol)
+    tol = _tolerance(args)
     rng = np.random.default_rng(args.seed)
     h = _random_h(rng, trials)
 
@@ -129,6 +139,7 @@ def _surface_params(args) -> dict:
 
 
 def cmd_canonical(args) -> int:
+    tol = _tolerance(args)
     surf = canonical_mod.make_surface(args.surface, **_surface_params(args))
     jet = surf.jet_at(0.9, 1.3)
     geom = point_geometry(jet, kbar=1.0)
@@ -145,7 +156,7 @@ def cmd_canonical(args) -> int:
         if key == "minimal" or computed.get(key) is None:
             continue
         diff = abs(computed[key] - ref)
-        state = diff <= args.tol
+        state = diff <= tol
         ok = ok and state
         rows.append({"quantity": key, "computed": computed[key],
                      "reference": ref, "abs_diff": diff, "pass": bool(state)})
@@ -153,7 +164,7 @@ def cmd_canonical(args) -> int:
               % (key, computed[key], ref, diff, "ok" if state else "FAIL"))
     payload = {
         "command": "canonical",
-        "config": {"surface": surf.kind, "params": surf.params, "tol": args.tol,
+        "config": {"surface": surf.kind, "params": surf.params, "tol": tol,
                    "output_dir": args.output_dir},
         "rows": rows,
         "all_pass": bool(ok),
@@ -165,21 +176,12 @@ def cmd_canonical(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _cone_from_args(args) -> ConeParams:
-    return ConeParams(
-        variant=args.variant,
-        n=args.n,
-        alpha=args.alpha,
-        beta=args.beta,
-        k=args.k,
-        gamma=args.gamma,
-        epsilon=args.epsilon,
-        delta=args.delta,
-    )
+def _cone_from_args(args, variant: str, n: int) -> ConeParams:
+    return ConeParams(variant=variant, n=n, **{key: getattr(args, key) for key in CONE_FLAGS})
 
 
 def cmd_sweep(args) -> int:
-    params = _cone_from_args(args)
+    params = _cone_from_args(args, args.variant, args.n)
     if args.discriminant and params.variant != "thm1":
         raise BadParams("--discriminant is a thm1 record")
     grid = SweepGrid(resolution=args.resolution,
@@ -206,44 +208,25 @@ def cmd_flow(args) -> int:
     surf = canonical_mod.make_surface(args.surface, **_surface_params(args))
     grid = canonical_mod.perturb(surf, (args.mu, args.mv), args.amplitude,
                                  args.nu, args.nv, args.direction)
-
-    cone = None
+    settings = {f.name: getattr(args, f.name) for f in fields(flow_mod.FlowConfig)}
     if args.cone is not None:
-        cone = ConeParams(variant=args.cone, n=2, alpha=args.alpha,
-                          beta=args.beta, k=args.k, gamma=args.gamma,
-                          epsilon=args.epsilon, delta=args.delta)
-    elif args.delta != 0.0 or any(getattr(args, key) is not None
-                                  for key in ("alpha", "beta", "k", "gamma", "epsilon")):
+        # flow cones are surface cones
+        settings["cone"] = _cone_from_args(args, args.cone, 2)
+    elif any(getattr(args, key) != getattr(ConeParams, key) for key in CONE_FLAGS):
         raise BadParams("cone constants given without --cone")
-    cfg = flow_mod.FlowConfig(
-        scheme=args.scheme, cfl=args.cfl, t_max=args.t_max,
-        blowup_ceiling=args.ceiling, stride=args.stride,
-        flat_threshold=args.flat_threshold, flat_window=args.flat_window,
-        kbar=args.kbar, cone=cone, sigma=args.sigma,
-        harnack_csharp=args.harnack_csharp, harnack_delta0=args.harnack_delta0,
-    )
-    flow_mod.write_snapshot(grid, os.path.join(args.output_dir,
-                                               args.prefix + "snapshot_initial.txt"), 0.0)
+    cfg = flow_mod.FlowConfig(**settings)
+    prefix = os.path.join(args.output_dir, args.prefix)
+    flow_mod.write_snapshot(grid, prefix + "snapshot_initial.txt", 0.0)
     result = flow_mod.run(grid, cfg)
-    flow_mod.write_monitor_csv(result.records,
-                               os.path.join(args.output_dir, args.prefix + "monitor.csv"))
-    flow_mod.write_snapshot(result.final_state.surface,
-                            os.path.join(args.output_dir,
-                                         args.prefix + "snapshot_final.txt"),
+    flow_mod.write_monitor_csv(result.records, prefix + "monitor.csv")
+    flow_mod.write_snapshot(result.final_state.surface, prefix + "snapshot_final.txt",
                             result.final_state.t)
     payload = {
         "command": "flow",
         "config": {
-            "surface": surf.kind, "params": surf.params, "nu": args.nu,
+            **asdict(cfg), "surface": surf.kind, "params": surf.params, "nu": args.nu,
             "nv": args.nv, "amplitude": args.amplitude, "mode": [args.mu, args.mv],
-            "direction": args.direction, "scheme": args.scheme, "cfl": args.cfl,
-            "t_max": args.t_max, "ceiling": args.ceiling, "stride": args.stride,
-            "flat_threshold": args.flat_threshold, "flat_window": args.flat_window,
-            "kbar": args.kbar, "sigma": args.sigma,
-            "cone": asdict(cfg.cone) if cfg.cone is not None else None,
-            "harnack_csharp": args.harnack_csharp,
-            "harnack_delta0": args.harnack_delta0,
-            "output_dir": args.output_dir, "prefix": args.prefix,
+            "direction": args.direction, "output_dir": args.output_dir, "prefix": args.prefix,
         },
         "outcome": result.outcome,
         "final_t": result.final_state.t,
@@ -254,7 +237,7 @@ def cmd_flow(args) -> int:
         "radius_trajectory": [[t, r] for t, r in result.radius_trajectory],
         "notes": result.notes,
     }
-    print(_emit(payload, os.path.join(args.output_dir, args.prefix + "flow.json")))
+    print(_emit(payload, prefix + "flow.json"))
     return 0
 
 
@@ -317,12 +300,8 @@ def _add_common(p):
 
 
 def _add_cone_flags(p):
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--delta", type=float, default=0.0)
+    for key in CONE_FLAGS:
+        p.add_argument("--" + key, type=float, default=getattr(ConeParams, key))
 
 
 def build_parser():
@@ -351,12 +330,12 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="reaction negativity sweep")
     p.add_argument("--variant", required=True, choices=["thm1", "thm2"])
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=ConeParams.n)
     _add_cone_flags(p)
-    p.add_argument("--resolution", type=int, default=200)
-    p.add_argument("--refine-rounds", type=int, default=3)
+    p.add_argument("--resolution", type=int, default=SweepGrid.resolution)
+    p.add_argument("--refine-rounds", type=int, default=SweepGrid.refine_rounds)
     p.add_argument("--chunk", type=int, default=SweepGrid.chunk)
-    p.add_argument("--stratum", choices=["full", "hzero"], default="full")
+    p.add_argument("--stratum", choices=["full", "hzero"], default=SweepGrid.stratum)
     p.add_argument("--no-bisect", action="store_true")
     p.add_argument("--discriminant", action="store_true",
                    help="append the discriminant record (thm1)")
@@ -376,20 +355,17 @@ def build_parser():
     p.add_argument("--mu", type=int, default=2)
     p.add_argument("--mv", type=int, default=2)
     p.add_argument("--direction", type=int, default=0)
-    p.add_argument("--scheme", choices=flow_mod.SCHEMES, default="rkl2")
-    p.add_argument("--cfl", type=float, default=0.2)
-    p.add_argument("--t-max", type=float, default=1.0)
-    p.add_argument("--ceiling", type=float, default=1e6)
-    p.add_argument("--stride", type=int, default=25,
+    # each FlowConfig setting is the flag of its name, with its default
+    flow_cfg = flow_mod.FlowConfig
+    p.add_argument("--scheme", choices=flow_mod.SCHEMES, default=flow_cfg.scheme)
+    for key in ("cfl", "t_max", "ceiling", "flat_threshold", "kbar", "sigma",
+                "harnack_csharp", "harnack_delta0"):
+        p.add_argument("--" + key.replace("_", "-"), type=float, default=getattr(flow_cfg, key))
+    p.add_argument("--stride", type=int, default=flow_cfg.stride,
                    help="velocity evaluations between monitor records")
-    p.add_argument("--flat-threshold", type=float, default=1e-4)
-    p.add_argument("--flat-window", type=int, default=50)
-    p.add_argument("--kbar", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=0.5)
+    p.add_argument("--flat-window", type=int, default=flow_cfg.flat_window)
     p.add_argument("--cone", choices=["thm1", "thm2"], default=None)
     _add_cone_flags(p)
-    p.add_argument("--harnack-csharp", type=float, default=None)
-    p.add_argument("--harnack-delta0", type=float, default=None)
     p.add_argument("--prefix", default="")
     _add_common(p)
     p.set_defaults(func=cmd_flow)
@@ -403,7 +379,7 @@ def build_parser():
     return parser, table
 
 
-def _apply_config_file(parser, table, argv):
+def _apply_config_file(table, argv):
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("command", nargs="?")
     probe.add_argument("--config", default=None)
@@ -431,7 +407,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, table = build_parser()
     try:
-        _apply_config_file(parser, table, argv)
+        _apply_config_file(table, argv)
         args = parser.parse_args(argv)
         os.makedirs(args.output_dir, exist_ok=True)
         return args.func(args)

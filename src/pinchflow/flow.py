@@ -34,7 +34,7 @@ monitor and to the next step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -47,8 +47,6 @@ from .pinching import ConeParams, harnack_bound, q_from_invariants
 from .tensor_kernel import batch_geometry
 
 SNAPSHOT_VERSION = 1
-CSV_HEADER = ("t,area,h_min,h_max,a2_max,q_min,q_max,ratio_max,grad_ratio,"
-              "kperp_min,kperp_max,harnack_violations")
 H_THRESHOLD = 1e-3          # |H| cutoff for ratio_max
 MAX_STEPS = 2_000_000       # step budget of run
 FILTER_FRACTION = 0.75      # resolvable share of the zonal band (_zonal_filter)
@@ -96,10 +94,13 @@ class MonitorRecord:
     indices: dict = field(default_factory=dict)
 
     def csv_row(self) -> str:
-        vals = [self.t, self.area, self.h_min, self.h_max, self.a2_max,
-                self.q_min, self.q_max, self.ratio_max, self.grad_ratio,
-                self.kperp_min, self.kperp_max]
-        return ",".join(repr(float(v)) for v in vals) + "," + str(int(self.harnack_violations))
+        return ",".join(str(int(getattr(self, f.name))) if f.type == "int"
+                        else repr(float(getattr(self, f.name))) for f in CSV_FIELDS)
+
+
+# the monitor.csv columns: every MonitorRecord field but the argmax indices
+CSV_FIELDS = [f for f in fields(MonitorRecord) if f.name != "indices"]
+CSV_HEADER = ",".join(f.name for f in CSV_FIELDS)
 
 
 @dataclass
@@ -107,7 +108,7 @@ class FlowConfig:
     scheme: str = "rkl2"             # one of SCHEMES
     cfl: float = 0.2
     t_max: float = 1.0
-    blowup_ceiling: float = 1e6
+    ceiling: float = 1e6             # a2_max that stops a run
     flat_threshold: float = 1e-4
     flat_window: int = 50            # consecutive monitor records below threshold
     stride: int = 25                 # velocity evaluations between monitor records
@@ -120,7 +121,7 @@ class FlowConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise BadParams("scheme must be one of %s" % ", ".join(SCHEMES))
-        for name in ("cfl", "t_max", "sigma", "blowup_ceiling", "flat_threshold"):
+        for name in ("cfl", "t_max", "sigma", "ceiling", "flat_threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise BadParams("%s must be finite" % name)
         if self.cfl <= 0 or self.t_max <= 0:
@@ -132,6 +133,10 @@ class FlowConfig:
             raise BadParams("kbar must be a finite positive number")
         if (self.harnack_csharp is None) != (self.harnack_delta0 is None):
             raise BadParams("harnack audit needs both csharp and delta0")
+        if self.harnack_csharp is not None and not (
+                0 < self.harnack_csharp < math.inf and math.isfinite(self.harnack_delta0)):
+            # a NaN or infinite constant makes every bound pass vacuously
+            raise BadParams("harnack_csharp must be finite and positive, harnack_delta0 finite")
         if self.cone is not None:
             # one background curvature per flow: Q is evaluated at the kbar
             # that batch_geometry rescales the monitored invariants by
@@ -317,32 +322,29 @@ def _rkl2(surf: GridSurface, vel0: np.ndarray, tau: float, s: int,
     return prev
 
 
-def step(state: FlowState, jets, scheme: str = "rkl2", cfl: float = 0.2,
-         ceiling: float = 1e6, t_max: float = math.inf) -> FlowState:
-    """One step of scheme from the Euler step dt_E = cfl * (min spacing)^2 /
-    max(1, a2_max), shortened to land on t_max.
+def step(state: FlowState, jets, cfg: FlowConfig) -> FlowState:
+    """One step of cfg.scheme from the Euler step dt_E = cfl * (min
+    spacing)^2 / max(1, a2_max), shortened to land on t_max.
 
     jets is batch_jets(state.surface).  euler and rk2 step by dt_E; rkl2
     takes one super-step sized by _rkl2_plan.
     """
-    surf = state.surface
+    surf, ceiling = state.surface, cfg.ceiling
     vel, a2max = _checked_velocity(jets, ceiling, state.t)
-    dt = cfl * min(surf.du, surf.dv) ** 2 / max(1.0, a2max)
-    remaining = t_max - state.t
-    if scheme == "euler":
+    dt = cfg.cfl * min(surf.du, surf.dv) ** 2 / max(1.0, a2max)
+    remaining = cfg.t_max - state.t
+    if cfg.scheme == "euler":
         dt, evals = min(dt, remaining), 1
         new = _advance(surf, vel, dt)
-    elif scheme == "rk2":
+    elif cfg.scheme == "rk2":
         dt, evals = min(dt, remaining), 2
         mid = _advance(surf, vel, 0.5 * dt)
         vel2, _ = _checked_velocity(batch_jets(mid), ceiling, state.t)
         new = _advance(surf, vel2, dt)
-    elif scheme == "rkl2":
+    else:
         dt, evals = _rkl2_plan(dt, a2max, remaining)
         new = _rkl2(surf, vel, dt, evals, ceiling, state.t)
-    else:
-        raise BadParams("scheme must be one of %s" % ", ".join(SCHEMES))
-    t = t_max if dt >= remaining else state.t + dt
+    t = cfg.t_max if dt >= remaining else state.t + dt
     return FlowState(t=t, step_index=state.step_index + 1, surface=new, dt_last=dt,
                      evaluations=state.evaluations + evals)
 
@@ -500,25 +502,35 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
 
     Outcomes: Shrinking (ceiling hit with area collapsed and |A|^2/|H|^2
     near 1/n), NumericalBlowup (ceiling hit without the shrinking
-    signature), ApproachTotallyGeodesic (a2_max below flat_threshold for
-    flat_window consecutive records), Inconclusive (t_max or step budget).
+    signature), ApproachTotallyGeodesic (a2_max below flat_threshold on the
+    last flat_window records), Inconclusive (t_max or step budget).  A step
+    or monitor that fails ends the run like the ceiling, with a note.
 
     Pure computation: no files are written; see write_monitor_csv and
     write_snapshot for the artifact formats.
     """
     cfg = config or FlowConfig()
     axis = RADIUS_AXIS if surface.meta.get("kind") == "geodesic-sphere" else None
-
     state = FlowState(t=0.0, step_index=0, surface=surface, dt_last=0.0)
-    jets = batch_jets(surface)
-    records = [monitor(surface, jets, cfg, 0.0)]
-    radius = [] if axis is None else [(0.0, _mean_radius(surface, axis))]
-    notes = []
-    initial_area = records[0].area
-    flat_count = 1 if records[0].a2_max < cfg.flat_threshold else 0
+    records, radius, notes = [], [], []
     outcome = None
-    aborted = unmonitored = False
 
+    def observe(jets, failure=None):
+        """Record state's surface from its jets.  If the monitor fails, note
+        failure % the error and return False; with no failure text, raise."""
+        try:
+            records.append(monitor(state.surface, jets, cfg, state.t))
+        except (DegenerateJet, OffSphere) as exc:
+            if failure is None:
+                raise
+            notes.append(failure % exc)
+            return False
+        if axis is not None:
+            radius.append((state.t, _mean_radius(state.surface, axis)))
+        return True
+
+    jets = batch_jets(surface)
+    observe(jets)
     while True:
         if state.t >= cfg.t_max:
             outcome = "Inconclusive"
@@ -527,62 +539,39 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
             outcome = "Inconclusive"
             notes.append("step budget exhausted at t = %.6f" % state.t)
             break
-        evaluated = state.evaluations
+        evaluated, note = state.evaluations, None
         try:
-            state = step(state, jets, scheme=cfg.scheme, cfl=cfg.cfl,
-                         ceiling=cfg.blowup_ceiling, t_max=cfg.t_max)
+            state = step(state, jets, cfg)
         except BlowupDetected as exc:
-            notes.append(str(exc))
-            aborted = True
-            break
+            note = str(exc)
         except (DegenerateJet, OffSphere) as exc:
-            notes.append("geometry degenerated mid-run: %s" % exc)
-            aborted = True
+            note = "geometry degenerated mid-run: %s" % exc
+        if note is not None:
+            # state, and so jets, is still the last surface; it is monitored out
+            # here, as the traceback would keep the failed step's arrays alive
+            notes.append(note)
+            if records[-1].t != state.t:
+                observe(jets, "final monitor unavailable (%s); classifying from last record")
             break
         jets = batch_jets(state.surface)
         if state.evaluations // cfg.stride > evaluated // cfg.stride:
-            try:
-                rec = monitor(state.surface, jets, cfg, state.t)
-            except (DegenerateJet, OffSphere) as exc:
-                notes.append("monitor failed mid-run: %s; classifying from last record" % exc)
-                aborted = unmonitored = True
+            if not observe(jets, "monitor failed mid-run: %s; classifying from last record"):
                 break
-            records.append(rec)
-            if axis is not None:
-                radius.append((state.t, _mean_radius(state.surface, axis)))
-            flat_count = flat_count + 1 if rec.a2_max < cfg.flat_threshold else 0
-            if flat_count >= cfg.flat_window:
+            flat = [rec.a2_max < cfg.flat_threshold for rec in records[-cfg.flat_window:]]
+            if len(flat) == cfg.flat_window and all(flat):
                 outcome = "ApproachTotallyGeodesic"
                 break
 
-    if aborted:
-        # a failed step or monitor leaves state, and so jets, at the last
-        # surface; monitor it unless that was done already or is what failed
-        if records[-1].t != state.t and not unmonitored:
-            try:
-                rec = monitor(state.surface, jets, cfg, state.t)
-                records.append(rec)
-                if axis is not None:
-                    radius.append((state.t, _mean_radius(state.surface, axis)))
-            except (DegenerateJet, OffSphere) as exc:
-                notes.append("final monitor unavailable (%s); classifying from last record"
-                             % exc)
+    if outcome is None:
         last = records[-1]
-        shrunk = (last.area < SHRINK_AREA_FRAC * initial_area
+        shrunk = (last.area < SHRINK_AREA_FRAC * records[0].area
                   and math.isfinite(last.ratio_max)
                   and abs(last.ratio_max - 1.0 / 2.0) < SHRINK_RATIO_TOL)
         outcome = "Shrinking" if shrunk else "NumericalBlowup"
-
     extinction = _extinction_estimate(records) if outcome == "Shrinking" else None
-    return FlowResult(
-        outcome=outcome,
-        records=records,
-        final_state=state,
-        extinction_time=extinction,
-        radius_trajectory=radius,
-        notes=notes,
-        config=cfg,
-    )
+    return FlowResult(outcome=outcome, records=records, final_state=state,
+                      extinction_time=extinction, radius_trajectory=radius, notes=notes,
+                      config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +600,8 @@ def read_snapshot(path) -> GridSurface:
         header = fh.readline().strip()
         if not header.startswith("# pinchflow-snapshot v"):
             raise BadParams("not a snapshot file: %r" % header)
-        fields = dict(part.split("=", 1) for part in header.split()[3:])
-        nu, nv = int(fields["nu"]), int(fields["nv"])
+        keys = dict(part.split("=", 1) for part in header.split()[3:])
+        nu, nv = int(keys["nu"]), int(keys["nv"])
         rows = []
         for line in fh:
             parts = line.split()
@@ -622,4 +611,4 @@ def read_snapshot(path) -> GridSurface:
     samples = np.zeros((dim, nu, nv))
     for i, j, coords in rows:
         samples[:, i, j] = coords
-    return GridSurface(fields["topology"], nu, nv, samples, {})
+    return GridSurface(keys["topology"], nu, nv, samples, {})

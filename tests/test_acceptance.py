@@ -153,7 +153,7 @@ def test_criterion_05_discrete_convergence():
 def test_criterion_06_flow_vs_ode_oracle():
     t0 = time.perf_counter()
     grid = sample_grid(make_surface("geodesic-sphere", rho=np.pi / 3), 64, 128)
-    res = run(grid, FlowConfig(t_max=1.0, blowup_ceiling=1e3, stride=50))
+    res = run(grid, FlowConfig(t_max=1.0, ceiling=1e3, stride=50))
     elapsed = time.perf_counter() - t0
     t_star = np.log(2.0) / 2.0
     ext_err = abs(res.extinction_time - t_star) / t_star
@@ -188,7 +188,7 @@ def test_criterion_08_pinching_preservation():
     grid = perturb(make_surface("geodesic-sphere", rho=np.pi / 3), (2, 2),
                    0.01, 64, 128, 0)
     cfg = FlowConfig(cone=ConeParams("thm1", n=2), t_max=1.0,
-                     blowup_ceiling=1e3, stride=50)
+                     ceiling=1e3, stride=50)
     res = run(grid, cfg)
     q_maxes = np.array([r.q_max for r in res.records])
     ratio_last = res.records[-1].ratio_max

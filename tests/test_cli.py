@@ -237,9 +237,31 @@ def test_report_flags_unreadable_artifact(tmp_path, capsys):
     ["flow", "--surface", "geodesic-sphere", "--nu", "16", "--nv", "32", "--kbar", "0"],
     ["flow", "--surface", "geodesic-sphere", "--nu", "16", "--nv", "32", "--kbar", "-1"],
     ["flow", "--surface", "geodesic-sphere", "--nu", "16", "--nv", "32", "--kbar", "nan"],
+    ["canonical", "--surface", "veronese", "--tol", "inf"],
+    ["canonical", "--surface", "veronese", "--tol", "nan"],
+    ["canonical", "--surface", "veronese", "--tol", "-1"],
+    ["canonical", "--surface", "flat-torus", "--r1", "nan"],
+    ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--r1", "nan"],
+    ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--amplitude", "nan"],
+    ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--amplitude", "inf"],
+    ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8",
+     "--harnack-csharp", "nan", "--harnack-delta0", "0.1"],
+    ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8",
+     "--harnack-csharp", "inf", "--harnack-delta0", "0.1"],
+    ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8",
+     "--harnack-csharp", "-5", "--harnack-delta0", "0.1"],
+    ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8",
+     "--harnack-csharp", "0", "--harnack-delta0", "0.1"],
+    ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8",
+     "--harnack-csharp", "1", "--harnack-delta0", "inf"],
+    ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8",
+     "--harnack-csharp", "1", "--harnack-delta0", "nan"],
 ], ids=["trials0", "trials-3", "tol_inf", "tol_nan", "tol_neg", "tol0", "stride0",
         "stride-5", "flat_window0", "sphere_nv15", "sphere_nu3", "sphere_nv0", "sphere_nv2",
-        "torus_nu0", "torus_nv2", "kbar0", "kbar_neg", "kbar_nan"])
+        "torus_nu0", "torus_nv2", "kbar0", "kbar_neg", "kbar_nan", "canonical_tol_inf",
+        "canonical_tol_nan", "canonical_tol_neg", "canonical_r1_nan", "flow_r1_nan",
+        "amplitude_nan", "amplitude_inf", "harnack_csharp_nan", "harnack_csharp_inf",
+        "harnack_csharp_neg", "harnack_csharp0", "harnack_delta0_inf", "harnack_delta0_nan"])
 def test_bad_counts_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--output-dir", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err

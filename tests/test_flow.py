@@ -5,7 +5,7 @@ import pytest
 
 import pinchflow.flow
 from pinchflow.canonical import make_surface, perturb, sample_grid
-from pinchflow.errors import Extinct
+from pinchflow.errors import DegenerateJet, Extinct
 from pinchflow.flow import (CSV_HEADER, FILTER_FRACTION, RKL2_ACCURACY,
                             RKL2_MAX_STAGES, RKL2_SAFETY, SCHEMES, FlowConfig,
                             FlowState, _lean_velocity, _refresh_poles, _zonal_mask,
@@ -58,7 +58,7 @@ def test_velocity_magnitude_geodesic_sphere():
 def test_step_equator_is_fixed_point():
     grid = geodesic_grid(np.pi / 2, 32, 64)
     state = FlowState(0.0, 0, grid.copy_with(grid.samples.copy()), 0.0)
-    out = step(state, batch_jets(state.surface), "euler", 0.2, 1e6)
+    out = step(state, batch_jets(state.surface), FlowConfig(scheme="euler"))
     assert np.abs(out.surface.samples - grid.samples).max() <= 1e-8
     assert out.step_index == 1
     # a2_max = 0 on the equator, so the max(1, .) floor kicks in
@@ -68,7 +68,7 @@ def test_step_equator_is_fixed_point():
 def test_step_dt_formula():
     grid = geodesic_grid(np.pi / 3, 64, 128)
     state = FlowState(0.0, 0, grid.copy_with(grid.samples.copy()), 0.0)
-    out = step(state, batch_jets(state.surface), "euler", 0.2, 1e6)
+    out = step(state, batch_jets(state.surface), FlowConfig(scheme="euler"))
     # a2_max = 2/3 < 1 for this cap, floor again active
     assert out.dt_last == 0.2 * min(grid.du, grid.dv) ** 2
     assert out.t == out.dt_last
@@ -104,7 +104,7 @@ def test_rkl2_small_sphere_ends_shrinking_near_extinction():
     this grid the stability bound alone allows one super-step from t = 0 to
     past it.  Beyond a2_max ~ 1e2 the 12 x 24 grid no longer resolves the
     cap, hence the low ceiling."""
-    res = run(geodesic_grid(np.pi / 3, 12, 24), FlowConfig(t_max=1.0, blowup_ceiling=1e2))
+    res = run(geodesic_grid(np.pi / 3, 12, 24), FlowConfig(t_max=1.0, ceiling=1e2))
     t_star = sphere_extinction_time(np.pi / 3, 2)
     assert res.outcome == "Shrinking"
     assert abs(res.extinction_time - t_star) <= 0.05 * t_star
@@ -222,6 +222,57 @@ def test_snapshot_roundtrip_bytes(tmp_path):
     assert np.array_equal(back.samples, grid.samples)
     write_snapshot(back, p2, 0.125)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# every exit of run: the flat window, the step budget, a failed step, and a
+# failed step whose last surface cannot be monitored either
+
+def _failing_on_call(fn, n, message):
+    """fn, except that its n-th call raises DegenerateJet(message)."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == n:
+            raise DegenerateJet(message)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def test_run_equator_approaches_totally_geodesic():
+    res = run(geodesic_grid(np.pi / 2, 16, 32), FlowConfig(flat_window=5, stride=3))
+    assert res.outcome == "ApproachTotallyGeodesic"
+    assert res.final_state.step_index == 4 and len(res.records) == 5
+    assert all(rec.a2_max < 1e-4 for rec in res.records)
+    assert res.notes == [] and res.extinction_time is None
+
+
+def test_run_step_budget_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(pinchflow.flow, "MAX_STEPS", 3)
+    res = run(geodesic_grid(np.pi / 3, 12, 24), FlowConfig(stride=1))
+    assert res.outcome == "Inconclusive"
+    assert res.final_state.step_index == 3 and len(res.records) == 4
+    assert res.notes == ["step budget exhausted at t = 0.142045"]
+
+
+def test_run_failed_step_records_the_last_surface(monkeypatch):
+    monkeypatch.setattr(pinchflow.flow, "step", _failing_on_call(step, 3, "det 0"))
+    res = run(geodesic_grid(np.pi / 3, 12, 24), FlowConfig(stride=100))
+    assert res.outcome == "NumericalBlowup"
+    assert [rec.t for rec in res.records] == [0.0, res.final_state.t]
+    assert abs(res.final_state.t - 0.1) < 1e-12 and res.final_state.step_index == 2
+    assert res.notes == ["geometry degenerated mid-run: det 0"]
+
+
+def test_run_failed_step_and_final_monitor(monkeypatch):
+    monkeypatch.setattr(pinchflow.flow, "step", _failing_on_call(step, 3, "det 0"))
+    monkeypatch.setattr(pinchflow.flow, "monitor", _failing_on_call(monitor, 2, "gram 0"))
+    res = run(geodesic_grid(np.pi / 3, 12, 24), FlowConfig(stride=100))
+    assert res.outcome == "NumericalBlowup"
+    assert [rec.t for rec in res.records] == [0.0]
+    assert res.notes == ["geometry degenerated mid-run: det 0",
+                         "final monitor unavailable (gram 0); classifying from last record"]
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +411,7 @@ def test_rkl2_matches_point_major_reference():
     grid = perturb(make_surface("geodesic-sphere"), (2, 2), 0.05, 16, 32)
     state = FlowState(0.0, 0, grid, 0.0)
     for _ in range(5):
-        state = step(state, batch_jets(state.surface), "rkl2", 0.2, 1e6)
+        state = step(state, batch_jets(state.surface), FlowConfig(scheme="rkl2"))
     ref, t = _reference_rkl2_steps(grid, 5)
     assert state.evaluations > 10
     assert np.array_equal(state.surface.samples, np.moveaxis(ref, -1, 0))
@@ -378,7 +429,7 @@ def test_stepper_matches_point_major_reference(kind, nu, nv, scheme):
         else sample_grid(surf, nu, nv)
     state = FlowState(0.0, 0, grid, 0.0)
     for _ in range(40):
-        state = step(state, batch_jets(state.surface), scheme, 0.2, 1e6)
+        state = step(state, batch_jets(state.surface), FlowConfig(scheme=scheme))
     ref, t = _reference_steps(grid, scheme, 40)
     assert state.surface.samples.shape == (5, nu, nv)
     assert np.array_equal(state.surface.samples, np.moveaxis(ref, -1, 0))
@@ -387,7 +438,7 @@ def test_stepper_matches_point_major_reference(kind, nu, nv, scheme):
 
 def test_run_builds_grid_tables_once():
     grid = geodesic_grid(np.pi / 3, 12, 24)
-    state = step(FlowState(0.0, 0, grid, 0.0), batch_jets(grid), "euler")
+    state = step(FlowState(0.0, 0, grid, 0.0), batch_jets(grid), FlowConfig(scheme="euler"))
     misses = (_stencil_index.cache_info().misses, _zonal_mask.cache_info().misses)
     res = run(state.surface, FlowConfig(scheme="euler", t_max=0.2, stride=5))
     assert res.final_state.step_index > 5
