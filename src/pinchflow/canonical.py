@@ -10,6 +10,10 @@ Catalog:
     flat-torus        product torus S^1(r1) x S^1(r2) in S^3 x {0}
     geodesic-sphere   round n-sphere of geodesic radius rho in S^(n+m)
     veronese          minimal projective plane in S^4, |A|^2 = 4/3
+
+Charts and normal frames are component-major, the small axes first and the
+parameter axes last: a chart returns pos (d, ...), first (2, d, ...) and
+second (2, 2, d, ...), which at a single point is the layout of Jet2.
 """
 
 from __future__ import annotations
@@ -43,22 +47,15 @@ class CanonicalSurface:
 
 def _pack(u, v, comps_pos, comps_fu, comps_fv, comps_fuu, comps_fuv, comps_fvv, dim):
     """Assemble batched (pos, first, second) from per-coordinate arrays."""
-    shape = np.broadcast(u, v).shape
-    pos = np.zeros(shape + (dim,))
-    fu = np.zeros(shape + (dim,))
-    fv = np.zeros(shape + (dim,))
-    fuu = np.zeros(shape + (dim,))
-    fuv = np.zeros(shape + (dim,))
-    fvv = np.zeros(shape + (dim,))
+    shape = (dim,) + np.broadcast(u, v).shape
+    pos, fu, fv, fuu, fuv, fvv = (np.zeros(shape) for _ in range(6))
     for arrs, target in (
         (comps_pos, pos), (comps_fu, fu), (comps_fv, fv),
         (comps_fuu, fuu), (comps_fuv, fuv), (comps_fvv, fvv),
     ):
         for idx, val in arrs:
-            target[..., idx] = val
-    first = np.stack([fu, fv], axis=-2)
-    second = np.stack([np.stack([fuu, fuv], axis=-2), np.stack([fuv, fvv], axis=-2)], axis=-3)
-    return pos, first, second
+            target[idx] = val
+    return pos, np.stack([fu, fv]), np.stack([np.stack([fuu, fuv]), np.stack([fuv, fvv])])
 
 
 def _flat_torus_chart(r1, r2):
@@ -98,25 +95,24 @@ def _geodesic_sphere_chart(rho, dim):
 
 def _veronese_bilinear(p, q):
     """The symmetric bilinear map whose quadratic form is the embedding."""
-    out = np.zeros(np.broadcast(p[..., 0], q[..., 0]).shape + (5,))
-    out[..., 0] = (p[..., 0] * q[..., 1] + p[..., 1] * q[..., 0]) / (2.0 * SQ3)
-    out[..., 1] = (p[..., 0] * q[..., 2] + p[..., 2] * q[..., 0]) / (2.0 * SQ3)
-    out[..., 2] = (p[..., 1] * q[..., 2] + p[..., 2] * q[..., 1]) / (2.0 * SQ3)
-    out[..., 3] = (p[..., 0] * q[..., 0] - p[..., 1] * q[..., 1]) / (2.0 * SQ3)
-    out[..., 4] = (p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1]
-                   - 2.0 * p[..., 2] * q[..., 2]) / 6.0
+    out = np.zeros((5,) + np.broadcast(p[0], q[0]).shape)
+    out[0] = (p[0] * q[1] + p[1] * q[0]) / (2.0 * SQ3)
+    out[1] = (p[0] * q[2] + p[2] * q[0]) / (2.0 * SQ3)
+    out[2] = (p[1] * q[2] + p[2] * q[1]) / (2.0 * SQ3)
+    out[3] = (p[0] * q[0] - p[1] * q[1]) / (2.0 * SQ3)
+    out[4] = (p[0] * q[0] + p[1] * q[1] - 2.0 * p[2] * q[2]) / 6.0
     return out
 
 
 def _veronese_chart(u, v):
     cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
     zero = np.zeros_like(su * sv)
-    w = SQ3 * np.stack([su * cv, su * sv, cu + zero], axis=-1)
-    wu = SQ3 * np.stack([cu * cv, cu * sv, -su + zero], axis=-1)
-    wv = SQ3 * np.stack([-su * sv, su * cv, zero], axis=-1)
+    w = SQ3 * np.stack([su * cv, su * sv, cu + zero])
+    wu = SQ3 * np.stack([cu * cv, cu * sv, -su + zero])
+    wv = SQ3 * np.stack([-su * sv, su * cv, zero])
     wuu = -w
-    wuv = SQ3 * np.stack([-cu * sv, cu * cv, zero], axis=-1)
-    wvv = SQ3 * np.stack([-su * cv, -su * sv, zero], axis=-1)
+    wuv = SQ3 * np.stack([-cu * sv, cu * cv, zero])
+    wvv = SQ3 * np.stack([-su * cv, -su * sv, zero])
     b = _veronese_bilinear
     pos = b(w, w)
     fu = 2.0 * b(w, wu)
@@ -124,9 +120,7 @@ def _veronese_chart(u, v):
     fuu = 2.0 * b(wu, wu) + 2.0 * b(w, wuu)
     fuv = 2.0 * b(wu, wv) + 2.0 * b(w, wuv)
     fvv = 2.0 * b(wv, wv) + 2.0 * b(w, wvv)
-    first = np.stack([fu, fv], axis=-2)
-    second = np.stack([np.stack([fuu, fuv], axis=-2), np.stack([fuv, fvv], axis=-2)], axis=-3)
-    return pos, first, second
+    return pos, np.stack([fu, fv]), np.stack([np.stack([fuu, fuv]), np.stack([fuv, fvv])])
 
 
 def make_surface(kind: str, **params) -> CanonicalSurface:
@@ -251,7 +245,7 @@ def geodesic_sphere_jet(rho: float, n: int, m: int, angles) -> Jet2:
 # grid sampling and perturbations
 
 def _analytic_normals(surface: CanonicalSurface, uu, vv) -> np.ndarray:
-    """Chart-smooth orthonormal normal frames, shape (..., 2, dim).
+    """Chart-smooth orthonormal normal frames, shape (2, dim, ...).
 
     batch_geometry's frames are canonicalized pointwise and may flip or
     rotate discontinuously across a grid, which is harmless for invariant
@@ -261,46 +255,43 @@ def _analytic_normals(surface: CanonicalSurface, uu, vv) -> np.ndarray:
     cu, su, cv, sv = np.cos(uu), np.sin(uu), np.cos(vv), np.sin(vv)
     shape = np.broadcast(uu, vv).shape
     dim = surface.ambient_dim
-    frame = np.zeros(shape + (2, dim))
+    frame = np.zeros((2, dim) + shape)
     if surface.kind in ("clifford", "flat-torus"):
         r1 = surface.params.get("r1", CLIFFORD_RADIUS)
         r2 = surface.params.get("r2", CLIFFORD_RADIUS)
-        frame[..., 0, 0] = -r2 * cu
-        frame[..., 0, 1] = -r2 * su
-        frame[..., 0, 2] = r1 * cv
-        frame[..., 0, 3] = r1 * sv
-        frame[..., 1, 4] = 1.0
+        frame[0, 0] = -r2 * cu
+        frame[0, 1] = -r2 * su
+        frame[0, 2] = r1 * cv
+        frame[0, 3] = r1 * sv
+        frame[1, 4] = 1.0
     elif surface.kind == "geodesic-sphere":
         rho = surface.params["rho"]
         sr, cr = np.sin(rho), np.cos(rho)
-        frame[..., 0, 0] = cr * su * cv
-        frame[..., 0, 1] = cr * su * sv
-        frame[..., 0, 2] = cr * cu
-        frame[..., 0, 3] = -sr
-        frame[..., 1, 4] = 1.0
+        frame[0, 0] = cr * su * cv
+        frame[0, 1] = cr * su * sv
+        frame[0, 2] = cr * cu
+        frame[0, 3] = -sr
+        frame[1, 4] = 1.0
     elif surface.kind == "veronese":
         # tangent frame of the direction sphere; normals are the traceless
         # quadratics built on it
-        x = np.stack([cu * cv, cu * sv, -su], axis=-1)
-        y = np.stack([-sv, cv, np.zeros_like(sv)], axis=-1)
+        x = np.stack([cu * cv, cu * sv, -su])
+        y = np.stack([-sv, cv, np.zeros_like(sv)])
         n0 = _veronese_bilinear(x, x) - _veronese_bilinear(y, y)
         n1 = _veronese_bilinear(x, y)
-        n0 /= np.linalg.norm(n0, axis=-1, keepdims=True)
-        n1 -= np.einsum("...m,...m->...", n1, n0)[..., None] * n0
-        n1 /= np.linalg.norm(n1, axis=-1, keepdims=True)
-        frame[..., 0, :] = n0
-        frame[..., 1, :] = n1
+        n0 /= np.linalg.norm(n0, axis=0)
+        n1 -= np.einsum("m...,m...->...", n1, n0) * n0
+        n1 /= np.linalg.norm(n1, axis=0)
+        frame[0] = n0
+        frame[1] = n1
     else:  # pragma: no cover - catalog is closed
         raise BadParams("no analytic normal frame for %r" % surface.kind)
     return frame
 
 
 def sample_grid(surface: CanonicalSurface, nu: int, nv: int) -> GridSurface:
-    """Sample the chart on the standard grid for its topology.
-
-    The samples are component-major, (ambient_dim, nu, nv), as GridSurface
-    stores them; the chart itself evaluates point-major.
-    """
+    """Sample the chart on the standard grid for its topology: the chart's
+    positions are the (ambient_dim, nu, nv) samples GridSurface stores."""
     if surface.topology == "torus":
         u = 2.0 * np.pi * np.arange(nu) / nu
     else:
@@ -309,8 +300,7 @@ def sample_grid(surface: CanonicalSurface, nu: int, nv: int) -> GridSurface:
     uu, vv = np.meshgrid(u, v, indexing="ij")
     pos, _, _ = surface.chart(uu, vv)
     meta = {"kind": surface.kind, **surface.params}
-    return GridSurface(surface.topology, nu, nv,
-                       np.ascontiguousarray(np.moveaxis(pos, -1, 0)), meta)
+    return GridSurface(surface.topology, nu, nv, pos, meta)
 
 
 def perturb(surface: CanonicalSurface, mode=(2, 2), amplitude: float = 0.0,
@@ -343,14 +333,14 @@ def perturb(surface: CanonicalSurface, mode=(2, 2), amplitude: float = 0.0,
     v = grid.v_values
     uu, vv = np.meshgrid(u, v, indexing="ij")
     pos, _, _ = surface.chart(uu, vv)
-    nvec = _analytic_normals(surface, uu, vv)[..., direction, :]
+    nvec = _analytic_normals(surface, uu, vv)[direction]
     disp = amplitude * np.cos(mu * uu) * np.cos(mv * vv)
     if grid.topology == "sphere":
         disp = disp * np.sin(uu) ** mv
-    moved = pos + disp[..., None] * nvec
-    moved /= np.linalg.norm(moved, axis=-1, keepdims=True)
+    moved = pos + disp * nvec
+    moved /= np.linalg.norm(moved, axis=0)
     samples = grid.samples.copy()
-    samples[:, vr] = np.moveaxis(moved, -1, 0)
+    samples[:, vr] = moved
     out = grid.copy_with(samples)
     _check_embedded(out)
     return out

@@ -53,8 +53,9 @@ def _emit(payload: dict, path: str) -> str:
 # verify
 
 def _random_h(rng, trials):
+    """trials symmetric forms, drawn row by row and laid out as (2, 2, 2, trials)."""
     h = rng.standard_normal((trials, 2, 2, 2))
-    return 0.5 * (h + np.swapaxes(h, 1, 2))
+    return np.ascontiguousarray(np.moveaxis(0.5 * (h + np.swapaxes(h, 1, 2)), 0, -1))
 
 
 def _tolerance(args) -> float:
@@ -69,6 +70,8 @@ def cmd_verify(args) -> int:
     trials = args.trials
     if trials < 1:
         raise BadParams("--trials must be at least 1")
+    if args.seed < 0:
+        raise BadParams("--seed must be non-negative")
     tol = _tolerance(args)
     rng = np.random.default_rng(args.seed)
     h = _random_h(rng, trials)
@@ -395,12 +398,33 @@ def _apply_config_file(table, argv):
         raise BadParams("cannot read config file %s: %s" % (known.config, exc)) from exc
     if not isinstance(cfg, dict):
         raise BadParams("config file %s does not hold a JSON object" % known.config)
-    sub = table[known.command]
-    valid = {a.dest for a in sub._actions}
-    unknown = sorted(set(cfg) - valid)
+    actions = {a.dest: a for a in table[known.command]._actions}
+    unknown = sorted(set(cfg) - set(actions))
     if unknown:
         raise BadParams("unknown config keys: %s" % ", ".join(unknown))
-    sub.set_defaults(**cfg)
+    table[known.command].set_defaults(**{key: _config_value(actions[key], value)
+                                          for key, value in cfg.items()})
+
+
+def _config_value(action, value):
+    """A config-file value as its flag takes it on the command line.  A
+    store_true flag takes only a JSON boolean, and null only a flag whose
+    default is None; anything else the flag would reject is BadParams."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+    elif value is None:
+        if action.default is None:
+            return None
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            parsed = (action.type or str)(str(value))
+        except ValueError:
+            parsed = None
+        if parsed is not None and (action.choices is None or parsed in action.choices):
+            return parsed
+    raise BadParams("config key %s: %s is not a valid %s"
+                    % (action.dest, json.dumps(value), action.option_strings[0]))
 
 
 def main(argv=None) -> int:

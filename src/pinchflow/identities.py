@@ -4,11 +4,9 @@ Every quantity here is a polynomial contraction of the second fundamental
 form.  The brute-force routes evaluate the literal index sums; the closed
 forms are the catalogued simplifications.  Tests compare the two on large
 random populations — the closed forms are claims under test, never a
-substitute for the oracle.  The batched primitives take h point-major,
-(..., n, n, k), and evaluate their index sums component-major, over whole
-batch planes; see the section header below.  gradient_margins reads
-batch_geometry's component-major fields (small axes first, grid axes last)
-as they are.
+substitute for the oracle.  Every array is component-major, as
+batch_geometry returns its fields: the small axes first and the batch or
+grid axes last, so h is (n, n, k, ...).
 
 Conventions (all in orthonormal frames):
     S_{ab}     = sum_{ij} h_{ija} h_{ijb}
@@ -31,79 +29,56 @@ from .frames import ABCFrame, specialize
 from .tensor_kernel import BatchGeometry
 
 # ---------------------------------------------------------------------------
-# batched primitives
-#
-# h is point-major (..., n, n, k) with any leading batch shape.  Each index
-# sum runs on h component-major (the small axes n, n, k first, the batch
-# last), so every term is a product of whole contiguous batch planes.  When h
-# is the point-major view of (n, n, k, ...) storage, as the sweep's
-# configuration builders return, that storage is used as it is; other h is
-# copied into that layout once per call.
-
-def _components(h: np.ndarray) -> np.ndarray:
-    """Contiguous component-major (n, n, k, ...) form of point-major h."""
-    return np.ascontiguousarray(np.moveaxis(h, (-3, -2, -1), (0, 1, 2)))
-
-
-def _s_matrix(c: np.ndarray) -> np.ndarray:
-    return np.einsum("ija...,ijb...->ab...", c, c)
-
-
-def _mean_vector(c: np.ndarray) -> np.ndarray:
-    return np.einsum("iia...->a...", c)
-
+# batched primitives: h is one (n, n, k) form or an (n, n, k, ...) batch
 
 def s_matrix(h: np.ndarray) -> np.ndarray:
-    return np.moveaxis(_s_matrix(_components(h)), (0, 1), (-2, -1))
+    return np.einsum("ija...,ijb...->ab...", h, h)
 
 
 def mean_vector(h: np.ndarray) -> np.ndarray:
-    return np.moveaxis(_mean_vector(_components(h)), 0, -1)
+    return np.einsum("iia...->a...", h)
 
 
 def rm_perp_squared(h: np.ndarray) -> np.ndarray:
-    c = _components(h)
-    t = np.einsum("ipa...,jpb...->ijab...", c, c)
+    if h.shape[0] != h.shape[1]:  # a point-major batch would make batch^2 planes
+        raise BadDims("h must be (n, n, k, ...), got shape %s" % (h.shape,))
+    t = np.einsum("ipa...,jpb...->ijab...", h, h)
     rp = t - np.swapaxes(t, 0, 1)
     return np.einsum("ijab...,ijab...->...", rp, rp)
 
 
 def kperp_scalar(h: np.ndarray) -> np.ndarray:
     """Normal-bundle curvature sum_p (h_{1p1} h_{2p2} - h_{2p1} h_{1p2})."""
-    if h.shape[-1] != 2 or h.shape[-2] != 2:
-        raise BadDims("kperp needs (n, k) = (2, 2)")
-    c = _components(h)
-    return (np.einsum("p...,p...->...", c[0, :, 0], c[1, :, 1])
-            - np.einsum("p...,p...->...", c[1, :, 0], c[0, :, 1]))
+    if h.shape[:3] != (2, 2, 2):
+        raise BadDims("kperp needs (n, k) = (2, 2), got shape %s" % (h.shape,))
+    return (np.einsum("p...,p...->...", h[0, :, 0], h[1, :, 1])
+            - np.einsum("p...,p...->...", h[1, :, 0], h[0, :, 1]))
 
 
 def r1_batch(h: np.ndarray) -> np.ndarray:
-    s = _s_matrix(_components(h))
+    s = s_matrix(h)
     return np.einsum("ab...,ab...->...", s, s) + rm_perp_squared(h)
 
 
 def r2_batch(h: np.ndarray) -> np.ndarray:
-    c = _components(h)
-    hh = np.einsum("a...,ija...->ij...", _mean_vector(c), c)
+    hh = np.einsum("a...,ija...->ij...", mean_vector(h), h)
     return np.einsum("ij...,ij...->...", hh, hh)
 
 
 def z_brute_batch(h: np.ndarray) -> np.ndarray:
-    c = _components(h)
-    s = _s_matrix(c)
-    hh = np.einsum("a...,ipa...->ip...", _mean_vector(c), c)
-    cubic = np.einsum("ip...,ijb...,pjb...->...", hh, c, c)
-    return cubic - np.einsum("ab...,ab...->...", s, s) - rm_perp_squared(h)
+    rm2 = rm_perp_squared(h)  # first, so its layout check runs before any einsum
+    s = s_matrix(h)
+    hh = np.einsum("a...,ipa...->ip...", mean_vector(h), h)
+    cubic = np.einsum("ip...,ijb...,pjb...->...", hh, h, h)
+    return cubic - np.einsum("ab...,ab...->...", s, s) - rm2
 
 
 def norms_batch(h: np.ndarray):
     """(normA2, normH2, traceless) for a batch of h."""
-    c = _components(h)
-    n = c.shape[0]
-    normA2 = np.einsum("ija...,ija...->...", c, c)
-    mean = _mean_vector(c)
+    normA2 = np.einsum("ija...,ija...->...", h, h)
+    mean = mean_vector(h)
     normH2 = np.einsum("a...,a...->...", mean, mean)
-    return normA2, normH2, normA2 - normH2 / n
+    return normA2, normH2, normA2 - normH2 / h.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +130,7 @@ class KperpChecks:
 
 
 def _quartic_reaction(c: np.ndarray) -> np.ndarray:
-    """Quartic part of the Kperp reaction, batched over component-major
-    c = h_{ij alpha} of shape (n, n, k, ...).
+    """Quartic part of the Kperp reaction, batched over c = h_{ij alpha}.
 
     The bracketed quartic sums of the normal-curvature evolution, one
     n x n matrix per normal direction,
@@ -168,7 +142,7 @@ def _quartic_reaction(c: np.ndarray) -> np.ndarray:
     """
     p = np.einsum("ipa...,pja...->ij...", c, c)
     r = (
-        np.einsum("ab...,ijb...->ija...", _s_matrix(c), c)
+        np.einsum("ab...,ijb...->ija...", s_matrix(c), c)
         + np.einsum("ip...,pja...->ija...", p, c)
         + np.einsum("ipa...,pj...->ija...", c, p)
         - 2.0 * np.einsum("ipb...,pqa...,qjb...->ija...", c, c, c)
@@ -179,7 +153,7 @@ def _quartic_reaction(c: np.ndarray) -> np.ndarray:
 
 def kperp_checks(h, kbar: float = 1.0) -> KperpChecks:
     """Dual-route evaluation of the normal-curvature reaction, (n,k) = (2,2),
-    for h of shape (..., 2, 2, 2).
+    for h of shape (2, 2, 2, ...).
 
     reaction_brute pairs the quartic evolution sums with h through the
     product rule for the Rperp component.  The background-curvature terms
@@ -197,14 +171,14 @@ def kperp_checks(h, kbar: float = 1.0) -> KperpChecks:
     part Atr = h - (H/2) g, so it is >= 0 and vanishes at umbilic h.
     """
     comp = np.asarray(h, dtype=float)
-    if comp.shape[-3:] != (2, 2, 2):
+    if comp.shape[:3] != (2, 2, 2):
         raise BadDims("kperp_checks requires (n, k) = (2, 2)")
     normA2, normH2, traceless = norms_batch(comp)
-    atr = comp - np.eye(2)[:, :, None] * (mean_vector(comp) / 2.0)[..., None, None, :]
+    atr = comp - np.einsum("ij,a...->ija...", np.eye(2), mean_vector(comp) / 2.0)
     li_li = 1.5 * traceless * traceless - r1_batch(atr)
     kp = kperp_scalar(comp)
     background = -4.0 * kbar * kp
-    brute = _quartic_reaction(_components(comp)) + background
+    brute = _quartic_reaction(comp) + background
     closed = kp * (normA2 + 2.0 * traceless) + background
     frame = specialize(comp)
     printed = kp * (normA2 + 2.0 * traceless - 2.0 * frame.b ** 2) + background

@@ -157,8 +157,8 @@ def reaction_of_Q(h, params: ConeParams) -> float:
 
 
 def _reaction(params: ConeParams, h, kb):
-    """reaction_of_Q's formula, batched: h is one (n, n, k) array or a
-    point-major (m, n, n, k) batch, and kb the background curvature of each."""
+    """reaction_of_Q's formula, batched: h is one (n, n, k) array or an
+    (n, n, k, m) batch, and kb the background curvature of each."""
     r1 = r1_batch(h)
     r2 = r2_batch(h)
     normA2, normH2, traceless = norms_batch(h)
@@ -186,10 +186,8 @@ def thm1_config_h(n: int, x, y, hsq) -> np.ndarray:
     diagonal traceless part, the second a pure off-diagonal block.  For
     surfaces (n = 2) this realization maximizes R1 at fixed (x, y), so the
     sweep supremum is attained on it; for higher n it realizes the same
-    |Atr1|^2/|Atr-|^2 split the estimates are phrased in.
-
-    Returns the point-major (m, n, n, 2) view of component-major
-    (n, n, 2, m) storage, the layout the identities contractions run on.
+    |Atr1|^2/|Atr-|^2 split the estimates are phrased in.  Returns the
+    (n, n, 2, m) batch.
     """
     x = np.atleast_1d(np.asarray(x, float))
     y = np.atleast_1d(np.asarray(y, float))
@@ -204,15 +202,12 @@ def thm1_config_h(n: int, x, y, hsq) -> np.ndarray:
     t = np.sqrt(y / 2.0)
     h[0, 1, 1] = t
     h[1, 0, 1] = t
-    return np.moveaxis(h, -1, 0)
+    return h
 
 
 def thm2_config_h(a, b, c, hsq) -> np.ndarray:
-    """Special-frame h for (n, k) = (2, 2) from (a, b, c) and |H|^2.
-
-    Returns the point-major (m, 2, 2, 2) view of component-major
-    (2, 2, 2, m) storage, as thm1_config_h does.
-    """
+    """Special-frame h for (n, k) = (2, 2) from (a, b, c) and |H|^2, as
+    a (2, 2, 2, m) batch."""
     a = np.atleast_1d(np.asarray(a, float))
     b = np.atleast_1d(np.asarray(b, float))
     c = np.atleast_1d(np.asarray(c, float))
@@ -226,16 +221,16 @@ def thm2_config_h(a, b, c, hsq) -> np.ndarray:
     h[1, 1, 1] = -b
     h[0, 1, 1] = c
     h[1, 0, 1] = c
-    return np.moveaxis(h, -1, 0)
+    return h
 
 
 def realize_argmax(params: ConeParams, argmax: dict):
     """(h components, params with kbar = slice value) for an argmax record."""
     p = replace(params, kbar=float(argmax["kbar"]))
     if params.variant == "thm1":
-        h = thm1_config_h(params.n, argmax["x"], argmax["y"], argmax["hsq"])[0]
+        h = thm1_config_h(params.n, argmax["x"], argmax["y"], argmax["hsq"])[..., 0]
     else:
-        h = thm2_config_h(argmax["a"], argmax["b"], argmax["c"], argmax["hsq"])[0]
+        h = thm2_config_h(argmax["a"], argmax["b"], argmax["c"], argmax["hsq"])[..., 0]
     return h, p
 
 

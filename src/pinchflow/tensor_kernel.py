@@ -12,8 +12,8 @@ path for non-unit spheres.
 
 batch_geometry works component-major: the small axes (ambient, tangent,
 normal) lead and the batch axes trail, so each contraction is a sum of
-products of whole batch planes.  A single jet is the case of an empty batch
-shape, where the two layouts coincide.
+products of whole batch planes.  A single jet, as Jet2 holds it, is the
+case of an empty batch shape.
 """
 
 from __future__ import annotations

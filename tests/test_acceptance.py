@@ -34,7 +34,7 @@ def _report(num, name, ok, detail=""):
 def _random_population(trials=10000, seed=2024):
     rng = np.random.default_rng(seed)
     h = rng.uniform(-2.0, 2.0, size=(trials, 2, 2, 2))
-    return 0.5 * (h + np.swapaxes(h, 1, 2))
+    return np.ascontiguousarray(np.moveaxis(0.5 * (h + np.swapaxes(h, 1, 2)), 0, -1))
 
 
 def test_criterion_01_simons_oracle():
@@ -60,7 +60,8 @@ def test_criterion_02_kperp_reaction_oracle():
     brute_vs_printed = 0.0
     abs_kp_resid = 0.0
     max_gap = 0.0
-    for row in h[:2000]:
+    for i in range(2000):
+        row = h[..., i]
         chk = kperp_checks(row, kbar=1.0)
         fr = specialize(row)
         scale = 1.0 + abs(chk.reaction_brute)
@@ -84,10 +85,10 @@ def test_criterion_02_kperp_reaction_oracle():
 
 def test_criterion_03_li_li_bound():
     h = _random_population()
-    trace = h[:, 0, 0, :] + h[:, 1, 1, :]
+    trace = h[0, 0] + h[1, 1]
     ht = h.copy()
-    ht[:, 0, 0, :] -= trace / 2.0
-    ht[:, 1, 1, :] -= trace / 2.0
+    ht[0, 0] -= trace / 2.0
+    ht[1, 1] -= trace / 2.0
     margin = (1.5 * norms_batch(ht)[2] ** 2 - r1_batch(ht)).min()
     ok = margin >= -1e-12
     _report(3, "li-li-bound", ok, "min margin %.3e" % margin)

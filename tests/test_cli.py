@@ -71,6 +71,53 @@ def test_bad_config_file_exits_2(tmp_path, capsys, text):
     assert "configuration error" in err and str(cfg) in err
 
 
+TORUS_8 = ["flow", "--surface", "flat-torus", "--nv", "8"]
+
+
+@pytest.mark.parametrize("argv,cfg", [
+    (TORUS_8, {"nu": 8.5}),
+    (TORUS_8 + ["--nu", "8"], {"stride": 2.5}),
+    (TORUS_8 + ["--nu", "8"], {"scheme": "leapfrog"}),
+    (TORUS_8 + ["--nu", "8"], {"cfl": "fast"}),
+    (TORUS_8 + ["--nu", "8"], {"cfl": None}),
+    (TORUS_8 + ["--nu", "8"], {"t_max": True}),
+    (TORUS_8 + ["--nu", "8"], {"kbar": [1.0]}),
+    (["sweep", "--variant", "thm1"], {"resolution": 8.0}),
+    (["sweep", "--variant", "thm1", "--resolution", "8"], {"no_bisect": "yes"}),
+    (["sweep", "--variant", "thm1", "--resolution", "8"], {"no_bisect": 1}),
+    (["verify", "--trials", "20"], {"seed": -0.5}),
+], ids=["nu_float", "stride_float", "scheme_choice", "cfl_text", "cfl_null", "t_max_bool",
+        "kbar_list", "resolution_float", "no_bisect_text", "no_bisect_int", "seed_float"])
+def test_config_value_rejected_like_its_flag(tmp_path, capsys, argv, cfg):
+    """A config-file value that its flag would reject on the command line
+    exits 2 before anything runs."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(path), "--output-dir", str(out)]) == 2
+    key = next(iter(cfg))
+    assert "configuration error: config key %s" % key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_parsed_like_their_flags(tmp_path):
+    """Config-file values reach the run as their flags would: an integral
+    number or a numeric string for an int, a JSON boolean for a store_true
+    flag, and null where the flag defaults to None."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"resolution": "8", "refine_rounds": 0, "no_bisect": True,
+                                "alpha": 1, "n": 2}))
+    assert main(["sweep", "--variant", "thm1", "--config", str(path),
+                 "--output-dir", str(tmp_path)]) == 0
+    config = read_json(tmp_path / "sweep_thm1_full.json")["config"]
+    assert (config["resolution"], config["refine_rounds"], config["bisect"]) == (8, 0, False)
+    assert config["alpha"] == 1.0 and isinstance(config["alpha"], float)
+    path.write_text(json.dumps({"rho": None, "nu": 8, "nv": 16, "t_max": 0.001}))
+    assert main(["flow", "--surface", "geodesic-sphere", "--config", str(path),
+                 "--output-dir", str(tmp_path)]) == 0
+    assert read_json(tmp_path / "flow.json")["config"]["nu"] == 8
+
+
 def test_canonical_veronese(tmp_path, capsys):
     rc = main(["canonical", "--surface", "veronese",
                "--output-dir", str(tmp_path)])
@@ -225,6 +272,7 @@ def test_report_flags_unreadable_artifact(tmp_path, capsys):
     ["verify", "--tol", "nan"],
     ["verify", "--tol", "-1"],
     ["verify", "--tol", "0"],
+    ["verify", "--seed", "-1"],
     ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--stride", "0"],
     ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--stride", "-5"],
     ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--flat-window", "0"],
@@ -256,7 +304,7 @@ def test_report_flags_unreadable_artifact(tmp_path, capsys):
      "--harnack-csharp", "1", "--harnack-delta0", "inf"],
     ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8",
      "--harnack-csharp", "1", "--harnack-delta0", "nan"],
-], ids=["trials0", "trials-3", "tol_inf", "tol_nan", "tol_neg", "tol0", "stride0",
+], ids=["trials0", "trials-3", "tol_inf", "tol_nan", "tol_neg", "tol0", "seed_neg", "stride0",
         "stride-5", "flat_window0", "sphere_nv15", "sphere_nu3", "sphere_nv0", "sphere_nv2",
         "torus_nu0", "torus_nv2", "kbar0", "kbar_neg", "kbar_nan", "canonical_tol_inf",
         "canonical_tol_nan", "canonical_tol_neg", "canonical_r1_nan", "flow_r1_nan",

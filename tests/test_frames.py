@@ -18,8 +18,9 @@ def special_example():
 
 
 def random_h(rng, count):
+    """count forms drawn row by row, laid out as (2, 2, 2, count)."""
     h = rng.uniform(-1.0, 1.0, size=(count, 2, 2, 2))
-    return 0.5 * (h + np.swapaxes(h, 1, 2))
+    return np.ascontiguousarray(np.moveaxis(0.5 * (h + np.swapaxes(h, 1, 2)), 0, -1))
 
 
 def test_specialize_on_already_special_input():
@@ -48,7 +49,8 @@ def test_roundtrip_and_invariants_random():
     rng = np.random.default_rng(42)
     h = random_h(rng, 2000)
     _, _, traceless2 = norms_batch(h)
-    for row, t2 in zip(h, traceless2):
+    for i, t2 in enumerate(traceless2):
+        row = h[..., i]
         fr = specialize(row)
         assert fr.a >= 0.0
         back = reconstruct(fr)
@@ -61,7 +63,7 @@ def test_specialize_tangent_rotation_invariance():
     # a, b^2, c^2, |H| are gauge-invariant once the frame is canonicalized
     rng = np.random.default_rng(7)
     for _ in range(200):
-        h = random_h(rng, 1)[0]
+        h = random_h(rng, 1)[..., 0]
         fr = specialize(h)
         th = rng.uniform(0, 2 * np.pi)
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
@@ -97,22 +99,23 @@ def test_h_zero_fallback_veronese_type():
 
 
 def test_batched_stack_matches_rows():
-    """A (N, 2, 2, 2) stack gives the per-row frames, rebuilds and checks."""
+    """A (2, 2, 2, N) stack gives the per-row frames, rebuilds and checks."""
     rng = np.random.default_rng(2026)
     h = random_h(rng, 1200)
     r = 1.0 / np.sqrt(3.0)
-    h[:3] = 0.0                                     # zero form
-    h[1, :, :, 0] = np.diag([1.0, -1.0])            # H = 0, tied eigenvalues
-    h[2, :, :, 0] = np.diag([r, -r])                # Veronese type, H = 0
-    h[2, :, :, 1] = np.array([[0.0, r], [r, 0.0]])
+    h[..., :3] = 0.0                                # zero form
+    h[:, :, 0, 1] = np.diag([1.0, -1.0])            # H = 0, tied eigenvalues
+    h[:, :, 0, 2] = np.diag([r, -r])                # Veronese type, H = 0
+    h[:, :, 1, 2] = np.array([[0.0, r], [r, 0.0]])
     fr = specialize(h)
     back = reconstruct(fr)
     chk = kperp_checks(h, kbar=0.7)
-    for i, row in enumerate(h):
+    for i in range(h.shape[-1]):
+        row = h[..., i]
         one = specialize(row)
         for name in ("a", "b", "c", "h_norm", "tangent_rotation", "normal_rotation"):
-            assert np.abs(getattr(fr, name)[i] - getattr(one, name)).max() <= 1e-14
-        assert np.abs(back[i] - reconstruct(one)).max() <= 1e-14
+            assert np.abs(getattr(fr, name)[..., i] - getattr(one, name)).max() <= 1e-14
+        assert np.abs(back[..., i] - reconstruct(one)).max() <= 1e-14
         ref = kperp_checks(row, kbar=0.7)
         for name in ("reaction_brute", "reaction_closed", "reaction_printed",
                      "laplacian_factor", "li_li_margin"):
@@ -120,15 +123,15 @@ def test_batched_stack_matches_rows():
             assert abs(getattr(chk, name)[i] - want) <= 1e-14 * (1.0 + abs(want))
     assert fr.h_norm[0] == 0.0 and abs(fr.a[1] - 1.0) < 1e-12 and abs(fr.a[2] - r) < 1e-10
     with pytest.raises(BadDims):
-        specialize(np.zeros((1200, 3, 3, 2)))
+        specialize(np.zeros((3, 3, 2, 1200)))
 
 
 def _eigh_specialize(h):
     """The eigh-based specialize the closed-form tangent rotation replaced,
     kept as a test-only reference: LAPACK eigenvectors of h . nu_1 in
     descending order, the second flipped where needed for det = +1."""
-    amats = np.moveaxis(h, -1, -3)
-    _, h_norm, u = _first_normal(amats)
+    _, h_norm, u = _first_normal(h)
+    amats, u = np.moveaxis(h, (0, 1, 2), (-2, -1, -3)), np.moveaxis(u, 0, -1)
     nrot = np.empty(u.shape + (2,))
     nrot[..., 0, :] = u
     nrot[..., 1, 0] = -u[..., 1]
@@ -144,7 +147,8 @@ def _eigh_specialize(h):
 
     return ABCFrame(a=0.5 * (form(e1, 0, e1) - form(e2, 0, e2)), b=form(e1, 1, e1),
                     c=form(e1, 1, e2), h_norm=h_norm,
-                    tangent_rotation=np.stack([e1, e2], axis=-2), normal_rotation=nrot)
+                    tangent_rotation=np.moveaxis(np.stack([e1, e2], axis=-2), (-2, -1), (0, 1)),
+                    normal_rotation=np.moveaxis(nrot, (-2, -1), (0, 1)))
 
 
 def edge_rows():
@@ -160,7 +164,7 @@ def edge_rows():
                 rows.append(np.stack([first, other], axis=-1))
     rows.append(np.stack([np.diag([1.0, -1.0]), np.zeros((2, 2))], axis=-1))
     rows.append(np.stack([np.diag([r, -r]), np.array([[0.0, r], [r, 0.0]])], axis=-1))
-    return np.stack(rows)
+    return np.stack(rows, axis=-1)
 
 
 def test_closed_form_frame_matches_eigh_reference():
@@ -168,17 +172,16 @@ def test_closed_form_frame_matches_eigh_reference():
     rotation exactly and the tangent rotation up to the eigenvectors' sign,
     on 10k random rows and on the zero, tied and H = 0 edge rows."""
     rng = np.random.default_rng(1616)
-    h = np.concatenate([edge_rows(), random_h(rng, 10000)])
+    h = np.concatenate([edge_rows(), random_h(rng, 10000)], axis=-1)
     got, want = specialize(h), _eigh_specialize(h)
     for name in ("a", "b", "c", "h_norm"):
         assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-13, name
     assert np.array_equal(got.normal_rotation, want.normal_rotation)
-    sign = np.where(np.einsum("...ij,...ij->...", got.tangent_rotation,
+    sign = np.where(np.einsum("ij...,ij...->...", got.tangent_rotation,
                               want.tangent_rotation) < 0, -1.0, 1.0)
-    assert np.abs(got.tangent_rotation - sign[:, None, None] * want.tangent_rotation).max() \
-        <= 1e-13
-    det = (got.tangent_rotation[:, 0, 0] * got.tangent_rotation[:, 1, 1]
-           - got.tangent_rotation[:, 0, 1] * got.tangent_rotation[:, 1, 0])
+    assert np.abs(got.tangent_rotation - sign * want.tangent_rotation).max() <= 1e-13
+    det = (got.tangent_rotation[0, 0] * got.tangent_rotation[1, 1]
+           - got.tangent_rotation[0, 1] * got.tangent_rotation[1, 0])
     assert np.abs(det - 1.0).max() <= 1e-15 and got.a.min() >= 0.0
     assert np.abs(reconstruct(got) - h).max() <= 1e-13
 
@@ -207,6 +210,6 @@ def test_split_traceless_sums_to_traceless_norm():
     rng = np.random.default_rng(11)
     h = random_h(rng, 500)
     _, _, traceless2 = norms_batch(h)
-    for row, t2 in zip(h, traceless2):
-        sp = split_traceless(row)
+    for i, t2 in enumerate(traceless2):
+        sp = split_traceless(h[..., i])
         assert abs(sp.normA1_2 + sp.normAminus_2 - t2) < 1e-10

@@ -10,9 +10,9 @@ import pytest
 
 from pinchflow.canonical import make_surface, perturb, sample_grid
 from pinchflow.errors import BadDims, InsufficientStencil
+from pinchflow.frames import specialize
 from pinchflow.grids import batch_jets
-from pinchflow.identities import (_components, _quartic_reaction,
-                                  gradient_margins, kperp_checks,
+from pinchflow.identities import (_quartic_reaction, gradient_margins, kperp_checks,
                                   kperp_scalar, mean_vector, norms_batch,
                                   r1_batch, r2_batch, reaction_terms,
                                   rm_perp_squared, s_matrix, z_brute_batch)
@@ -35,15 +35,21 @@ def veronese_h():
 
 
 def random_h(rng, count, k=2):
+    """count forms drawn row by row, laid out as (2, 2, k, count)."""
     h = rng.uniform(-1.0, 1.0, size=(count, 2, 2, k))
-    return 0.5 * (h + np.swapaxes(h, 1, 2))
+    return np.ascontiguousarray(np.moveaxis(0.5 * (h + np.swapaxes(h, 1, 2)), 0, -1))
+
+
+def rows(h):
+    """The single forms of a (n, n, k, m) batch, one per last-axis index."""
+    return [h[..., i] for i in range(h.shape[-1])]
 
 
 def project_out_mean(h):
-    mean = np.einsum("...iia->...a", h) / 2.0
+    mean = np.einsum("iia...->a...", h) / 2.0
     out = h.copy()
-    out[..., 0, 0, :] -= mean
-    out[..., 1, 1, :] -= mean
+    out[0, 0] -= mean
+    out[1, 1] -= mean
     return out
 
 
@@ -135,7 +141,7 @@ def test_reaction_terms_zero():
 
 def test_reaction_terms_match_loop_oracles():
     rng = np.random.default_rng(21)
-    for row in random_h(rng, 100):
+    for row in rows(random_h(rng, 100)):
         rt = reaction_terms(row)
         r1_ref, rm_ref = r1_loop(row)
         assert abs(rt.r1 - r1_ref) < 1e-10 * (1 + abs(r1_ref))
@@ -146,7 +152,7 @@ def test_reaction_terms_match_loop_oracles():
 def test_veronese_simons_balance():
     # minimal case: Z + 2 kbar |Ao|^2 vanishes on the Veronese invariants
     rt = reaction_terms(veronese_h())
-    _, _, t2 = norms_batch(veronese_h()[None])
+    _, _, t2 = norms_batch(veronese_h()[..., None])
     assert abs(rt.z_closed + 2.0 * t2[0]) < 1e-12
     assert abs(rt.z_brute - rt.z_closed) < 1e-12
 
@@ -172,10 +178,10 @@ def test_general_codimension_batches():
     # r1/r2/rm accept k != 2; only the closed forms are (2,2)-specific
     rng = np.random.default_rng(55)
     h = random_h(rng, 40, k=3)
-    for row in h:
+    for row in rows(h):
         r1_ref, _ = r1_loop(row)
-        assert abs(r1_batch(row[None])[0] - r1_ref) < 1e-10 * (1 + abs(r1_ref))
-        assert abs(r2_batch(row[None])[0] - r2_loop(row)) < 1e-10
+        assert abs(r1_batch(row[..., None])[0] - r1_ref) < 1e-10 * (1 + abs(r1_ref))
+        assert abs(r2_batch(row[..., None])[0] - r2_loop(row)) < 1e-10
 
 
 @pytest.mark.parametrize("layout", ["point-major", "component-major-storage"])
@@ -183,29 +189,58 @@ def test_general_codimension_batches():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_primitives_match_loops_any_dimension(n, k, layout):
     """S, the mean vector, r1, r2, |Rmperp|^2 and the norms against the index
-    loops and the point-major einsum route, on contiguous point-major h and on the
-    point-major view of (n, n, k, m) storage that the sweep builders return.
-    Tolerance 1e-12 (1 + |ref|): the sums are the same, only their order
-    differs."""
+    loops and the point-major einsum route, on (n, n, k, m) storage as the
+    sweep builders return it.  Tolerance 1e-12 (1 + |ref|): the sums are the
+    same, only their order differs.  The same batch laid out point-major,
+    (m, n, n, k), is refused by the primitives that guard their layout."""
     rng = np.random.default_rng(1000 + 10 * n + k)
     h = rng.uniform(-1.0, 1.0, size=(30, n, n, k))
-    h = 0.5 * (h + np.swapaxes(h, 1, 2))
-    if layout == "component-major-storage":
-        h = np.moveaxis(np.ascontiguousarray(np.moveaxis(h, 0, -1)), -1, 0)
-        assert h.base.flags.c_contiguous and h.base.shape == (n, n, k, 30)
-    ref = _point_major_reference(h)
+    h = np.ascontiguousarray(np.moveaxis(0.5 * (h + np.swapaxes(h, 1, 2)), 0, -1))
+    assert h.flags.c_contiguous and h.shape == (n, n, k, 30)
+    if layout == "point-major":
+        for primitive in (rm_perp_squared, r1_batch, z_brute_batch):
+            with pytest.raises(BadDims):
+                primitive(np.moveaxis(h, -1, 0))
+        return
+    ref = _point_major_reference(np.moveaxis(h, -1, 0))
     a2, h2, t2 = norms_batch(h)
     got = dict(s=s_matrix(h), mean=mean_vector(h), rm=rm_perp_squared(h),
                r1=r1_batch(h), r2=r2_batch(h), normA2=a2, normH2=h2, traceless=t2)
-    for row, hrow in enumerate(h):
+    for row, hrow in enumerate(rows(h)):
         r1_ref, rm_ref = r1_loop(hrow)
         loops = dict(s=s_loop(hrow), mean=mean_loop(hrow), rm=rm_ref, r1=r1_ref,
                      r2=r2_loop(hrow))
         loops.update(zip(("normA2", "normH2", "traceless"), norms_loop(hrow)))
         for name, want in loops.items():
-            for value in (got[name][row], ref[name][row]):
+            for value in (got[name][..., row], ref[name][row]):
                 assert np.shape(value) == np.shape(want), name
                 assert np.all(np.abs(value - want) <= 1e-12 * (1.0 + np.abs(want))), name
+
+
+def test_point_major_batch_is_refused():
+    """A batch laid out point-major, (m, 2, 2, 2), raises BadDims before
+    rm_perp_squared can build its (m, m, 2, 2) intermediate."""
+    h = np.moveaxis(random_h(np.random.default_rng(5), 10000), -1, 0)
+    assert h.shape == (10000, 2, 2, 2)
+    for primitive in (rm_perp_squared, r1_batch, z_brute_batch, kperp_scalar):
+        with pytest.raises(BadDims):
+            primitive(h)
+
+
+@pytest.mark.parametrize("grid", [
+    perturb(make_surface("veronese"), (3, 2), 0.02, 48, 48, direction=1),
+    sample_grid(make_surface("veronese"), 24, 48),
+    sample_grid(make_surface("geodesic-sphere", rho=np.pi / 3), 32, 64),
+    sample_grid(make_surface("flat-torus", r1=0.6, r2=0.8), 40, 40),
+], ids=["veronese48", "veronese_h0", "sphere32x64", "torus40"])
+def test_grid_geometry_feeds_identities_and_frames(grid):
+    """batch_geometry's h goes into the identities and the special frame as
+    it is: the norms match its own bit for bit and Kperp to 1e-14."""
+    geom = batch_geometry(*batch_jets(grid))
+    for got, want in zip(norms_batch(geom.h), (geom.normA2, geom.normH2, geom.normTracelessA2)):
+        assert np.array_equal(got, want)
+    assert np.abs(kperp_scalar(geom.h) - geom.kperp).max() <= 1e-14
+    assert np.abs(specialize(geom.h).kperp - geom.kperp).max() <= 1e-14
 
 
 def test_kperp_checks_frozen_example():
@@ -250,10 +285,10 @@ def test_quartic_reaction_matches_point_major_reference():
     roundoff, relative to the quartic's scale |A|^4, row by row."""
     rng = np.random.default_rng(1616)
     h = random_h(rng, 10000)
-    h[:2] = 0.0
-    h[1, :, :, 0] = np.diag([1.0, -1.0])
-    got = _quartic_reaction(_components(h))
-    want = _point_major_quartic(np.moveaxis(h, -1, -3))
+    h[..., :2] = 0.0
+    h[:, :, 0, 1] = np.diag([1.0, -1.0])
+    got = _quartic_reaction(h)
+    want = _point_major_quartic(np.moveaxis(h, (2, 3), (-3, 0)))
     assert got.shape == (10000,) and got[0] == 0.0
     assert np.all(np.abs(got - want) <= 1e-13 * norms_batch(h)[0] ** 2)
     chk = kperp_checks(h, kbar=0.0)
@@ -262,8 +297,7 @@ def test_quartic_reaction_matches_point_major_reference():
 
 def test_kperp_gap_identity_random():
     rng = np.random.default_rng(77)
-    from pinchflow.frames import specialize
-    for row in random_h(rng, 300):
+    for row in rows(random_h(rng, 300)):
         chk = kperp_checks(row, kbar=0.3)
         fr = specialize(row)
         kp = float(kperp_scalar(row))
@@ -299,9 +333,9 @@ def test_li_li_margin_random_traceless():
 
 def test_li_li_margin_vanishes_at_umbilic_h():
     """An umbilic h = t g nu has no traceless part, so the Li-Li margin is 0."""
-    t = np.array([0.5, 1.0, 2.0, 3.0])[:, None, None, None]
+    t = np.array([0.5, 1.0, 2.0, 3.0])
     nu = np.array([0.6, 0.8])
-    h = t * np.eye(2)[None, :, :, None] * nu
+    h = np.einsum("ij,a,m->ijam", np.eye(2), nu, t)
     chk = kperp_checks(h)
     assert np.abs(chk.li_li_margin).max() <= 1e-12
 

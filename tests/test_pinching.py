@@ -144,14 +144,14 @@ def test_reaction_hypersurface_huisken_oracle():
 
 def test_config_builders_roundtrip():
     # thm1: (x, y) = (|Ao_1|^2, |Ao_-|^2); thm2: the (a, b, c) scalars
-    h = thm1_config_h(2, 0.4, 0.25, 1.8)[0]
+    h = thm1_config_h(2, 0.4, 0.25, 1.8)[..., 0]
     sp = split_traceless(h)
     assert abs(sp.normA1_2 - 0.4) < 1e-12
     assert abs(sp.normAminus_2 - 0.25) < 1e-12
-    _, h2, _ = norms_batch(h[None])
+    _, h2, _ = norms_batch(h[..., None])
     assert abs(h2[0] - 1.8) < 1e-12
 
-    h = thm2_config_h(0.3, 0.2, 0.5, 2.2)[0]
+    h = thm2_config_h(0.3, 0.2, 0.5, 2.2)[..., 0]
     fr = specialize(h)
     assert abs(fr.a - 0.3) < 1e-12
     assert abs(abs(fr.b) - 0.2) < 1e-12
