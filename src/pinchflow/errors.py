@@ -43,3 +43,7 @@ class Extinct(PinchflowError):
 
 class EmptyFeasibleSet(PinchflowError):
     """A sweep slice contains no configuration with |H|^2 >= 0."""
+
+
+class SlicePolynomialMismatch(PinchflowError):
+    """A sweep's slice polynomial does not reproduce the cone reaction."""

@@ -31,17 +31,26 @@ from .tensor_kernel import BatchGeometry
 # ---------------------------------------------------------------------------
 # batched primitives: h is one (n, n, k) form or an (n, n, k, ...) batch
 
+def _layout(h: np.ndarray) -> np.ndarray:
+    """h, after checking that it is laid out (n, n, k, ...).  A point-major
+    batch (m, n, n, k) would make the einsums sum over the batch, or build
+    batch^2 planes in rm_perp_squared."""
+    if h.ndim < 3 or h.shape[0] != h.shape[1]:
+        raise BadDims("h must be (n, n, k, ...), got shape %s" % (h.shape,))
+    return h
+
+
 def s_matrix(h: np.ndarray) -> np.ndarray:
+    h = _layout(h)
     return np.einsum("ija...,ijb...->ab...", h, h)
 
 
 def mean_vector(h: np.ndarray) -> np.ndarray:
-    return np.einsum("iia...->a...", h)
+    return np.einsum("iia...->a...", _layout(h))
 
 
 def rm_perp_squared(h: np.ndarray) -> np.ndarray:
-    if h.shape[0] != h.shape[1]:  # a point-major batch would make batch^2 planes
-        raise BadDims("h must be (n, n, k, ...), got shape %s" % (h.shape,))
+    h = _layout(h)
     t = np.einsum("ipa...,jpb...->ijab...", h, h)
     rp = t - np.swapaxes(t, 0, 1)
     return np.einsum("ijab...,ijab...->...", rp, rp)
@@ -61,7 +70,7 @@ def r1_batch(h: np.ndarray) -> np.ndarray:
 
 
 def r2_batch(h: np.ndarray) -> np.ndarray:
-    hh = np.einsum("a...,ija...->ij...", mean_vector(h), h)
+    hh = np.einsum("a...,ija...->ij...", mean_vector(h), h)  # mean_vector checks h
     return np.einsum("ij...,ij...->...", hh, hh)
 
 
@@ -75,7 +84,7 @@ def z_brute_batch(h: np.ndarray) -> np.ndarray:
 
 def norms_batch(h: np.ndarray):
     """(normA2, normH2, traceless) for a batch of h."""
-    normA2 = np.einsum("ija...,ija...->...", h, h)
+    normA2 = np.einsum("ija...,ija...->...", _layout(h), h)
     mean = mean_vector(h)
     normH2 = np.einsum("a...,a...->...", mean, mean)
     return normA2, normH2, normA2 - normH2 / h.shape[0]

@@ -3,10 +3,15 @@
 A cone is the region Q < 0 of a curvature polynomial Q; preservation under
 the flow hinges on the sign of Q's reaction terms on the boundary Q = 0.
 Those signs are claims under test here.  Each variant's reaction is written
-once, in _reaction, from the defining contractions of the identities module,
-never from a pre-expanded polynomial: reaction_of_Q evaluates it at one h,
-and the sweeps at a batch of slice configurations, reporting the measured
-supremum, its argmax, and bisected critical constants.
+once, in _reaction, from the defining contractions of the identities module;
+reaction_of_Q evaluates it at one h.  On the Q = 0 slice the reaction is a
+low-degree polynomial in the slice coordinates, and the sweeps evaluate that
+polynomial on their lattices, reporting the measured supremum, its argmax,
+and bisected critical constants.  No polynomial is written out: for each
+cone, _slice_polynomial fits its coefficients to _reaction at nodes on fixed
+segments of the slice and checks the fit there and at independent points,
+raising SlicePolynomialMismatch if it misses.  The reported supremum is
+reaction_of_Q re-evaluated at the argmax.
 
 The Q = 0 slice is compactified by degree-4 homogeneity: scaling h by
 lambda and kbar by lambda^2 scales every reaction by lambda^4, so it is
@@ -16,23 +21,24 @@ enough to sweep
     Thm2:  a^2 + b^2 + c^2 + kbar = 1          (special-frame coordinates)
 
 with |H|^2 >= 0 recovered from the Q = 0 constraint and infeasible
-configurations skipped: the reaction is evaluated on feasible configurations
-only.  Every stratum is sampled on one kind of lattice, resolution evenly
-spaced values on [0, 1] per free coordinate: (x, y) = (|Atr1|^2, |Atr-|^2)
-for Thm1, (a, b, c) for Thm2, and the split tau = x / (x + y) on the Thm1
-|H| = 0 stratum.  Sweeps are deterministic: a fixed lattice, a serial pass
-over its chunks, and one first-max reduction, _first_max, that base chunks
-and refinement rounds alike merge with `>`, so the lexicographically first
-maximum wins whatever the chunk size.
+configurations masked to -inf.  Every stratum is sampled on one kind of
+lattice, resolution evenly spaced values on [0, 1] per free coordinate:
+(x, y) = (|Atr1|^2, |Atr-|^2) for Thm1, (a, b, c) for Thm2, and the split
+tau = x / (x + y) on the Thm1 |H| = 0 stratum.  Sweeps are deterministic:
+a fixed lattice, a serial pass over its chunks, elementwise evaluation (an
+entry's value does not depend on the chunk it is in), and one first-max
+reduction, _first_max, that base chunks and refinement rounds alike merge
+with `>`, so the lexicographically first maximum wins whatever the chunk
+size.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import BadDims, BadParams, EmptyFeasibleSet
+from .errors import BadDims, BadParams, EmptyFeasibleSet, SlicePolynomialMismatch
 from .identities import kperp_scalar, norms_batch, r1_batch, r2_batch
 
 SUP_SIGN_TOL = 1e-9      # "sup is positive" threshold for bisection
@@ -226,12 +232,7 @@ def thm2_config_h(a, b, c, hsq) -> np.ndarray:
 
 def realize_argmax(params: ConeParams, argmax: dict):
     """(h components, params with kbar = slice value) for an argmax record."""
-    p = replace(params, kbar=float(argmax["kbar"]))
-    if params.variant == "thm1":
-        h = thm1_config_h(params.n, argmax["x"], argmax["y"], argmax["hsq"])[..., 0]
-    else:
-        h = thm2_config_h(argmax["a"], argmax["b"], argmax["c"], argmax["hsq"])[..., 0]
-    return h, p
+    return _config_h(params, argmax)[..., 0], replace(params, kbar=float(argmax["kbar"]))
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +252,8 @@ class SweepGrid:
 
     resolution: int = 200
     refine_rounds: int = 3
-    # configurations per chunk at n = 2 (_chunk_size scales it by (2/n)^2).
-    # thm1 n = 4 chunks are then 8192, where rm_perp_squared's 64-plane
-    # intermediate is 4 MiB; at 32768 it was 16 MiB, spilled a 4 MiB L2 and
-    # cost about 25 % more per configuration
+    # configurations per chunk at n = 2 (_chunk_size scales it by (2/n)^2);
+    # it bounds the memory of one evaluation, a few arrays of chunk entries
     chunk: int = 32768
     stratum: str = "full"
     bisect: bool = True
@@ -281,22 +280,11 @@ class SweepReport:
     notes: list
 
 
-def _on_feasible(ok, values):
-    """Scatter values computed on the entries where ok holds; -inf elsewhere."""
-    out = np.full(ok.shape, -np.inf)
-    out[ok] = values
-    return out
+def _slice_configs(params, stratum, coords):
+    """(feasible mask, config arrays) of free coordinates on the Q = 0 slice.
 
-
-def _eval_configs(params, stratum, coords):
-    """Reaction on explicit free coordinates; infeasible entries -> -inf.
-
-    The feasibility mask comes first and _reaction is evaluated on the
-    feasible entries only.  The thm2 printed-R3 route is the reaction less
-    its pinned gap 4 gamma |Kperp| b^2, with |Kperp| = 2ac on the slice.
-    Returns (values, printed_values, feasible_mask, config_arrays) where
-    config_arrays are the slice coordinates needed to rebuild the point;
-    they are meaningful at feasible entries only.
+    config_arrays are the slice coordinates that rebuild the point (see
+    _config_h); they are meaningful at feasible entries only.
     """
     if params.variant == "thm1":
         if stratum == "hzero":
@@ -311,26 +299,195 @@ def _eval_configs(params, stratum, coords):
             x, y = coords
             kb = 1.0 - x - y
             ok = (x >= 0.0) & (y >= 0.0) & (kb >= -1e-15)
-            kb = np.clip(kb, 0.0, None)
+            kb = np.maximum(kb, 0.0)
             hsq = (x + y - params.beta * kb) / (params.alpha - 1.0 / params.n)
             ok &= hsq >= 0.0
-        vals = _reaction(params, thm1_config_h(params.n, x[ok], y[ok], hsq[ok]), kb[ok])
-        return _on_feasible(ok, vals), None, ok, {"x": x, "y": y, "kbar": kb, "hsq": hsq}
+        return ok, {"x": x, "y": y, "kbar": kb, "hsq": hsq}
     a, b, c = coords
-    kb = 1.0 - (a * a + b * b + c * c)
+    s = a * a + b * b + c * c
+    kb = 1.0 - s
     ok = (a >= 0.0) & (b >= 0.0) & (c >= 0.0) & (kb >= -1e-15)
-    kb = np.clip(kb, 0.0, None)
-    hsq = (2.0 * (a * a + b * b + c * c) + 4.0 * params.gamma * a * c
-           - params.epsilon * kb) / (params.k - 0.5)
+    kb = np.maximum(kb, 0.0)
+    hsq = (2.0 * s + 4.0 * params.gamma * a * c - params.epsilon * kb) / (params.k - 0.5)
     ok &= hsq >= 0.0
-    fa, fb, fc = a[ok], b[ok], c[ok]
-    # h stays bound until printed is computed: freed earlier, its pages go
-    # back to the OS and fault in again for the next temporaries
-    h = thm2_config_h(fa, fb, fc, hsq[ok])
-    reaction = _reaction(params, h, kb[ok])
-    printed = reaction - 4.0 * params.gamma * (2.0 * fa * fc) * (fb * fb)
-    return (_on_feasible(ok, reaction), _on_feasible(ok, printed), ok,
-            {"a": a, "b": b, "c": c, "kbar": kb, "hsq": hsq})
+    return ok, {"a": a, "b": b, "c": c, "kbar": kb, "hsq": hsq}
+
+
+def _config_h(params, cfg):
+    """The (n, n, k, m) batch of h at slice configurations cfg."""
+    if params.variant == "thm1":
+        return thm1_config_h(params.n, cfg["x"], cfg["y"], cfg["hsq"])
+    return thm2_config_h(cfg["a"], cfg["b"], cfg["c"], cfg["hsq"])
+
+
+# ---------------------------------------------------------------------------
+# slice polynomials
+#
+# The reactions are polynomials on the slice.  h enters _reaction through
+# |H|^2, kbar and products of the traceless entries, and |H|^2 is linear in
+# the squared coordinates and kbar, so thm1's reaction is a quadratic form
+# in (kbar, x, y), and thm2's is homogeneous of degree 4 in
+# (sqrt(kbar), a, b, c): it sees a and c through a^2, c^2 and ac and b
+# through b^2, so it has 14 monomials.  On the |H| = 0 stratum kbar and
+# x + y are fixed and the reaction is quadratic in tau.  Written in kbar,
+# the polynomial holds off the normalization kbar = 1 - (x + y) too, and a
+# thin feasible band (a large beta or epsilon) keeps it well conditioned.
+# The sweeps evaluate that polynomial.  Its coefficients are fitted to
+# _reaction for each cone, and the fit must reproduce _reaction at its
+# nodes and at independent check points, or the sweep raises.
+
+FIT_TOL = 1e-12          # fit residual bound, relative to the reaction's size
+# where the fit points sit on each fit segment, as fractions of its feasible
+# part: least-squares nodes, then check points the fit never sees
+FIT_LEVELS = (0.05, 0.35, 0.65, 0.95)
+CHECK_LEVELS = (0.2, 0.8)
+_LEVELS = np.array(FIT_LEVELS + CHECK_LEVELS)[:, None]
+
+
+def _thm2_rays():
+    """15 directions of the (a, b, c) octant: 5 azimuths in the (a, c)
+    quarter plane at 3 elevations towards b, enough for the 9 quartic and 4
+    quadratic monomials."""
+    phi = (np.arange(5) + 0.5) * (np.pi / 10.0)
+    psi = np.array([0.0, np.pi / 6.0, np.pi / 3.0])[:, None]
+    rays = np.broadcast_arrays(np.cos(psi) * np.cos(phi), np.sin(psi),
+                               np.cos(psi) * np.sin(phi))
+    return np.stack(rays).reshape(3, -1)
+
+
+# (monomial exponents, segment directions, along) of each stratum, in the
+# variables of _poly_args.  The fit points lie
+# at free coordinates along(level) * dirs[:, i], level in [0, 1], on thm1's
+# lines (x, y) = level (t, 1 - t), the |H| = 0 stratum's tau = level and
+# thm2's rays in level = a^2 + b^2 + c^2.  On each segment |H|^2 is affine
+# in the level, and with alpha > 1/n, beta >= 0 and gamma >= 0 a nonempty
+# slice meets every segment.
+_FIT_PLANS = {
+    ("thm1", "full"): (np.array([(2 - i - j, i, j) for i in range(3) for j in range(3 - i)]),
+                       np.stack([np.linspace(0.0, 1.0, 4), 1.0 - np.linspace(0.0, 1.0, 4)]),
+                       lambda level: level),
+    ("thm1", "hzero"): (np.array([(i,) for i in range(3)]), np.ones((1, 1)),
+                        lambda level: level),
+    ("thm2", "full"): (np.array([((4 - i - 2 * j - k) // 2, i, j, k) for i in range(5)
+                                 for j in range(3) for k in range(5 - i - 2 * j)
+                                 if (i + k) % 2 == 0]),
+                       _thm2_rays(), np.sqrt),
+}
+
+
+def _poly_args(params, stratum, coords, cfg):
+    """The slice polynomial's variables: tau on the |H| = 0 stratum, kbar
+    and (x, y) for thm1, and kbar, a, b^2 and c for thm2."""
+    if stratum == "hzero":
+        return tuple(coords)
+    if params.variant == "thm1":
+        return (cfg["kbar"],) + tuple(coords)
+    a, b, c = coords
+    return cfg["kbar"], a, b * b, c
+
+
+def _fit_points(params, stratum):
+    """(d, m) free coordinates of the fit nodes, then of the check points:
+    every segment at FIT_LEVELS, then at CHECK_LEVELS, of its feasible
+    part (where |H|^2 >= 0)."""
+    _, dirs, along = _FIT_PLANS[params.variant, stratum]
+    ends = np.concatenate([0.0 * dirs, dirs], axis=1)   # level 0, then level 1
+    hsq = _slice_configs(params, stratum, tuple(ends))[1]["hsq"]
+    h0, h1 = hsq[:dirs.shape[1]], hsq[dirs.shape[1]:]
+    root = np.divide(h0, h0 - h1, out=np.zeros_like(h0), where=h0 != h1)  # |H|^2 = 0
+    lo = np.where(h0 >= 0.0, 0.0, root)
+    level = along(lo + (np.where(h1 >= 0.0, 1.0, root) - lo) * _LEVELS)
+    return (level * dirs[:, None, :]).reshape(len(dirs), -1)
+
+
+def _slice_polynomial(params, stratum):
+    """Nested Horner form (see _horner) of the reaction's polynomial on the
+    slice, fitted on first use and kept on params under its constants.
+
+    The coefficients are the least-squares fit of _reaction at the fit
+    nodes.  Raises SlicePolynomialMismatch unless the fit points lie on the
+    slice, the nodes determine every coefficient, and the polynomial
+    reproduces _reaction at the nodes and at the check points to FIT_TOL
+    times the reaction's size, max(|reaction|, (1 + |H|^2)^2) over the fit
+    points.
+    """
+    key = (stratum,) + tuple(getattr(params, f.name) for f in fields(params))
+    fits = vars(params).setdefault("_slice_polynomials", {})
+    if key in fits:
+        return fits[key]
+    monomials, dirs, _ = _FIT_PLANS[params.variant, stratum]
+    points = _fit_points(params, stratum)
+    ok, cfg = _slice_configs(params, stratum, tuple(points))
+    if not ok.all():
+        raise SlicePolynomialMismatch("%s %s slice: fit points off the slice"
+                                      % (params.variant, stratum))
+    values = _reaction(params, _config_h(params, cfg), cfg["kbar"])
+    args = np.stack(_poly_args(params, stratum, points, cfg))
+    powers = args[:, None, :] ** np.arange(5)[:, None]   # (variable, power, point)
+    basis = powers[np.arange(len(args)), monomials].prod(axis=1).T
+    nodes = len(FIT_LEVELS) * dirs.shape[1]
+    coef, _, rank, _ = np.linalg.lstsq(basis[:nodes], values[:nodes], rcond=None)
+    if rank < len(coef):
+        raise SlicePolynomialMismatch(
+            "%s %s slice: the fit nodes determine %d of %d coefficients"
+            % (params.variant, stratum, rank, len(coef)))
+    # _reaction sums terms of size (1 + |H|^2)^2 on the slice, which dwarf
+    # the reaction where it cancels: near k = 1/2 or alpha = 1/n, |H|^2 grows
+    # like 1/(k - 1/2) and the contractions round at 1e-16 of |H|^4
+    size = np.maximum(np.abs(values), (1.0 + cfg["hsq"]) ** 2)
+    bound = FIT_TOL * float(np.max(size))
+    resid = float(np.max(np.abs(basis @ coef - values)))
+    if not resid <= bound:   # a NaN fails too
+        raise SlicePolynomialMismatch(
+            "%s %s slice: the polynomial misses _reaction by %.3e (bound %.3e)"
+            % (params.variant, stratum, resid, bound))
+    nested = {}
+    for exps, cf in zip(monomials.tolist(), coef.tolist()):
+        node = nested
+        for e in exps[:-1]:
+            node = node.setdefault(e, {})
+        node[exps[-1]] = cf
+    fits[key] = nested
+    return nested
+
+
+def _horner(poly, xs):
+    """Value of the nested polynomial {power of xs[0]: polynomial in xs[1:]}
+    by Horner's rule, elementwise: each entry's value takes the same
+    operations whatever the shape of xs."""
+    if not xs:
+        return poly
+    acc = None
+    for p in range(max(poly), -1, -1):
+        if acc is not None:
+            acc = acc * xs[0]
+        if p in poly:
+            term = _horner(poly[p], xs[1:])
+            acc = term if acc is None else acc + term
+    return acc
+
+
+def _eval_configs(params, stratum, coords):
+    """Reaction on explicit free coordinates; infeasible entries -> -inf.
+
+    The feasibility mask comes first; the reaction is the slice polynomial,
+    evaluated by Horner's rule (a chunk without a feasible entry needs no
+    fit).  The thm2 printed-R3 route is the reaction less its pinned gap
+    4 gamma |Kperp| b^2, with |Kperp| = 2ac on the slice.  Returns
+    (values, printed_values, feasible_mask, config_arrays) where
+    config_arrays are the slice coordinates needed to rebuild the point;
+    they are meaningful at feasible entries only.
+    """
+    ok, cfg = _slice_configs(params, stratum, coords)
+    if ok.any():
+        vals = np.where(ok, _horner(_slice_polynomial(params, stratum),
+                                    _poly_args(params, stratum, coords, cfg)), -np.inf)
+    else:
+        vals = np.full(ok.shape, -np.inf)
+    if params.variant == "thm1":
+        return vals, None, ok, cfg
+    a, b, c = coords
+    return vals, vals - 4.0 * params.gamma * (2.0 * a * c) * (b * b), ok, cfg
 
 
 def _free_dim(params, stratum):
@@ -343,9 +500,43 @@ def _free_dim(params, stratum):
 
 def _lattice_chunk(params, stratum, res, lo, hi):
     """Free coordinates of lattice indices [lo, hi) in lexicographic order:
-    res evenly spaced values on [0, 1] per free coordinate."""
-    idx = np.unravel_index(np.arange(lo, hi), (res,) * _free_dim(params, stratum))
-    return tuple(i / (res - 1.0) for i in idx)
+    res evenly spaced values on [0, 1] per free coordinate.
+
+    [lo, hi) is a run of whole res^j blocks inside one res^(j+1) block (see
+    _chunk_ranges), so the coordinates come as broadcast axes: fixed leading
+    coordinates, one range, then j whole axes; their broadcast shape lists
+    the chunk in lattice order.
+    """
+    dim = _free_dim(params, stratum)
+    j = dim - 1
+    while lo % res ** j or hi % res ** j:
+        j -= 1
+    block, count = lo // res ** j, (hi - lo) // res ** j
+    first = block % res
+    if first + count > res:
+        raise ValueError("lattice range [%d, %d) crosses a block boundary" % (lo, hi))
+    lead = []
+    for _ in range(dim - 1 - j):
+        block //= res
+        lead.insert(0, slice(block % res, block % res + 1))
+    values = np.arange(res) / (res - 1.0)
+    axes = [values[i] for i in lead + [slice(first, first + count)] + [slice(None)] * j]
+    return tuple(v.reshape([-1 if ax == k else 1 for k in range(dim)])
+                 for ax, v in enumerate(axes))
+
+
+def _chunk_ranges(params, stratum, res, chunk):
+    """Lattice index ranges [lo, hi) of at most _chunk_size configurations,
+    in lattice order, each a run of whole res^j blocks inside one res^(j+1)
+    block, j as large as the chunk size allows."""
+    dim = _free_dim(params, stratum)
+    step = _chunk_size(params, chunk)
+    j = max(i for i in range(dim) if res ** i <= step)
+    unit = res ** j
+    per = min(res, step // unit)
+    for top in range(0, res ** dim, unit * res):
+        for first in range(0, res, per):
+            yield top + first * unit, top + min(first + per, res) * unit
 
 
 def _chunk_size(params, chunk):
@@ -359,23 +550,22 @@ def _first_max(coords, evaluated):
     first maximum in coordinate order wins; with no feasible entry the max
     is -inf."""
     vals, printed, ok, cfg = evaluated
-    pos = int(np.argmax(vals))
-    return (float(vals[pos]), {k: float(v[pos]) for k, v in cfg.items()}, int(ok.sum()),
+    pos = np.unravel_index(int(np.argmax(vals)), vals.shape)
+
+    def at(v):  # v broadcasts to vals.shape: a length-1 axis takes index 0
+        return float(v[tuple(i if n > 1 else 0 for i, n in zip(pos, v.shape))])
+
+    return (float(vals[pos]), {k: at(v) for k, v in cfg.items()}, int(np.count_nonzero(ok)),
             -np.inf if printed is None else float(printed.max()),
-            [float(co[pos]) for co in coords])
+            [at(co) for co in coords])
 
 
 def _run_base_sweep(params, stratum, res, chunk):
     """(sup, argmax config, feasible samples, printed sup, argmax free
     coordinates) over the base lattice, a chunk of configurations at a time."""
-    total = res ** _free_dim(params, stratum)
-    step = _chunk_size(params, chunk)
     best, best_cfg, samples, printed_sup, best_coords = -np.inf, None, 0, -np.inf, None
-    for lo in range(0, total, step):  # lattice order: the first max wins
-        coords = _lattice_chunk(params, stratum, res, lo, min(lo + step, total))
-        # bound until the next chunk is evaluated: freed earlier, its pages go
-        # back to the OS and fault in again (a bisected thm2 sweep at res 32
-        # then takes 31k minor faults instead of 18k)
+    for lo, hi in _chunk_ranges(params, stratum, res, chunk):  # the first max wins
+        coords = _lattice_chunk(params, stratum, res, lo, hi)
         evaluated = _eval_configs(params, stratum, coords)
         val, cfg, count, printed, at = _first_max(coords, evaluated)
         samples += count
@@ -393,7 +583,7 @@ def _refine(params, grid, best, best_cfg, center):
     for _ in range(grid.refine_rounds):
         axes = [np.linspace(co - spacing, co + spacing, 2 * REFINE_FACTOR + 1)
                 for co in center]
-        coords = tuple(m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij"))
+        coords = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
         val, cfg, count, _, at = _first_max(coords,
                                             _eval_configs(params, grid.stratum, coords))
         extra += count
@@ -470,7 +660,9 @@ def reaction_sweep(params: ConeParams, grid: SweepGrid | None = None) -> SweepRe
     params.kbar is ignored: the background curvature is a slice coordinate
     under the homogeneity normalization.  The reported sup_value is the
     scalar re-evaluation of the argmax through reaction_of_Q, so the report
-    is reproducible from its own argmax record.
+    is reproducible from its own argmax record.  The lattice passes evaluate
+    the slice polynomial of each cone constant they visit, and raise
+    SlicePolynomialMismatch if its fit misses _reaction.
     """
     if grid is None:
         grid = SweepGrid()
@@ -537,8 +729,9 @@ def discriminant_report(n: int, alpha: float, beta: float) -> dict:
         c_x = -3 (n <= 4)  or  -(2(n - 4) + 3) (n >= 4),
 
     and direct_negativity reports whether q < 0 on the nonnegative quadrant
-    away from the origin.  The printed formulas are recorded as-is; their
-    sign is not asserted anywhere.
+    away from the origin, from quadrant_max, the exact maximum of q on the
+    segment x + w = 1 (q is homogeneous).  The printed formulas are recorded
+    as-is; their sign is not asserted anywhere.
     """
     n = int(n)
     if n < 2:
@@ -551,10 +744,15 @@ def discriminant_report(n: int, alpha: float, beta: float) -> dict:
     printed2 = 8.0 * cross * (2.0 * bprime - (2.0 * (n - 4) + 3.0) * beta)
     c_x = -3.0 if n <= 4 else -(2.0 * (n - 4) + 3.0)
 
-    t = np.linspace(0.0, 1.0, 2001)
-    x, w = t, 1.0 - t
-    q = c_x * x * x + 4.0 * cross * x * w - 2.0 * beta * cross * w * w
-    qmax = float(q.max())
+    # on the segment x = t, w = 1 - t the form is A t^2 + B t + C, whose
+    # maximum over [0, 1] sits at an end or at the vertex of a concave A
+    A = c_x - 4.0 * cross - 2.0 * beta * cross
+    B = 4.0 * cross * (1.0 + beta)
+    C = -2.0 * beta * cross
+    qmax = max(C, c_x)
+    if A < 0.0 and 0.0 < -B / (2.0 * A) < 1.0:
+        qmax = max(qmax, C - B * B / (4.0 * A))
+    qmax = float(qmax)
     return {
         "n": n,
         "alpha": alpha,

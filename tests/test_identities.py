@@ -227,6 +227,18 @@ def test_point_major_batch_is_refused():
             primitive(h)
 
 
+@pytest.mark.parametrize("kernel", [s_matrix, mean_vector, r2_batch, norms_batch],
+                         ids=["s_matrix", "mean_vector", "r2_batch", "norms_batch"])
+def test_kernel_refuses_point_major_batch(kernel):
+    """A point-major (30, 2, 2, 2) batch raises BadDims in every kernel, not
+    only in those that would otherwise fail: s_matrix would return sums over
+    the batch."""
+    h = np.moveaxis(random_h(np.random.default_rng(6), 30), -1, 0)
+    assert h.shape == (30, 2, 2, 2)
+    with pytest.raises(BadDims):
+        kernel(h)
+
+
 @pytest.mark.parametrize("grid", [
     perturb(make_surface("veronese"), (3, 2), 0.02, 48, 48, direction=1),
     sample_grid(make_surface("veronese"), 24, 48),

@@ -5,12 +5,16 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from pinchflow import pinching
 from pinchflow.canonical import make_surface
-from pinchflow.errors import BadDims, BadParams, EmptyFeasibleSet
+from pinchflow.cli import main
+from pinchflow.errors import (BadDims, BadParams, EmptyFeasibleSet,
+                              SlicePolynomialMismatch)
 from pinchflow.frames import specialize, split_traceless
 from pinchflow.identities import norms_batch
-from pinchflow.pinching import (ConeParams, SweepGrid, _eval_configs,
-                                _lattice_chunk, _reaction, blowup_time,
+from pinchflow.pinching import (ConeParams, SweepGrid, _chunk_ranges, _chunk_size,
+                                _config_h, _eval_configs, _lattice_chunk, _reaction,
+                                _slice_configs, blowup_time,
                                 discriminant_report, harnack_bound, q_value,
                                 reaction_of_Q, reaction_sweep, realize_argmax,
                                 thm1_config_h, thm2_config_h)
@@ -191,6 +195,18 @@ def test_discriminant_report_printed_values():
         discriminant_report(2, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("n,alpha,beta,qmax", [
+    (2, 2.0 / 3.0, 1.0, -2.0 / 9.0), (4, 1.0 / 3.0, 2.0, -8.0 / 19.0),
+    (5, 0.25, 2.0, -24.0 / 29.0), (2, 2.0, 1.0, 10.0 / 3.0)])
+def test_discriminant_quadrant_max_is_exact(n, alpha, beta, qmax):
+    """quadrant_max is the maximum of the quadratic form on x + w = 1, at the
+    vertex of the parabola or (the last case, a convex one) at an end, and
+    direct_negativity is its sign."""
+    rec = discriminant_report(n, alpha, beta)
+    assert abs(rec["quadrant_max"] - qmax) <= 1e-14 * max(1.0, abs(qmax))
+    assert rec["direct_negativity"] is (qmax < 0.0)
+
+
 def test_sweep_hzero_critical_beta():
     # H = 0 stratum: reaction crosses zero at beta = 2n/3 exactly
     rep = reaction_sweep(ConeParams("thm1", n=2, beta=1.0),
@@ -303,17 +319,21 @@ FEASIBLE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FEASIBLE_CASES))
 def test_eval_configs_matches_evaluate_everything(case):
-    """Evaluating only the feasible entries gives, bit for bit, the values
-    of evaluating every entry and masking, and -inf at every other entry."""
+    """The slice polynomial on the feasible entries agrees with evaluating
+    _reaction at every entry and masking, to the bound of
+    test_eval_configs_matches_reaction_of_q, and every other entry is -inf;
+    the feasibility masks agree exactly."""
     params, stratum, (lo, hi) = FEASIBLE_CASES[case]
-    coords = _lattice_chunk(params, stratum, 24, lo, hi)
+    coords = [np.ravel(co) for co in np.broadcast_arrays(
+        *_lattice_chunk(params, stratum, 24, lo, hi))]
     vals, printed, ok, _ = _eval_configs(params, stratum, coords)
     ref_vals, ref_printed, ref_ok = _eval_everything(params, stratum, coords)
     assert np.array_equal(ok, ref_ok)
-    assert np.array_equal(vals[ok], ref_vals[ok])
+    bound = 1e-12 * np.maximum(1.0, np.abs(ref_vals[ok]))
+    assert np.all(np.abs(vals[ok] - ref_vals[ok]) <= bound)
     assert np.all(vals[~ok] == -np.inf)
     if params.variant == "thm2":
-        assert np.array_equal(printed[ok], ref_printed[ok])
+        assert np.all(np.abs(printed[ok] - ref_printed[ok]) <= bound)
         assert np.all(printed[~ok] == -np.inf)
     else:
         assert printed is None and ref_printed is None
@@ -360,3 +380,124 @@ def test_thm2_requires_two_two():
     from dataclasses import replace
     with pytest.raises(BadDims):
         q_value(replace(g3, kperp=None), ConeParams("thm2"))
+
+
+# ---------------------------------------------------------------------------
+# the slice polynomial against the contractions
+
+DUAL_CASES = {
+    **{"thm1_n%d" % n: (ConeParams("thm1", n=n), "full") for n in range(2, 7)},
+    "hzero_n2": (ConeParams("thm1", n=2, beta=1.0), "hzero"),
+    "hzero_n4": (ConeParams("thm1", n=4, beta=1.5), "hzero"),
+    **{"thm2_k%s" % k: (ConeParams("thm2", k=k), "full")
+       for k in (0.52, 29.0 / 40.0, 0.70, 0.7499)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUAL_CASES))
+def test_slice_polynomial_matches_reaction(case):
+    """The sweep's slice polynomial against _reaction on the realized h at
+    5000 seeded feasible points, thm1 for n = 2..6, the |H| = 0 stratum and
+    thm2 across its critical scan.  The bound is relative to the largest
+    |reaction| on the sample: at k = 0.52, |H|^2 = num/(k - 1/2) is large and
+    both routes carry roundoff of that size where the reaction cancels."""
+    params, stratum = DUAL_CASES[case]
+    dim = 1 if stratum == "hzero" else (3 if params.variant == "thm2" else 2)
+    coords = tuple(np.random.default_rng(20).random((dim, 20000)))
+    vals, _, ok, cfg = _eval_configs(params, stratum, coords)
+    keep = np.flatnonzero(ok)[:5000]
+    assert keep.size == 5000
+    at = {key: v[keep] for key, v in cfg.items()}
+    ref = _reaction(params, _config_h(params, at), at["kbar"])
+    assert np.max(np.abs(vals[keep] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("params,stratum", [
+    (ConeParams("thm1", n=2), "full"), (ConeParams("thm1", n=3, beta=1.0), "hzero"),
+    (ConeParams("thm2"), "full")], ids=["thm1", "hzero", "thm2"])
+def test_reaction_off_the_polynomial_raises(monkeypatch, params, stratum):
+    """A reaction the fitted polynomial cannot reproduce (a degree-5 term in
+    the entries of h) stops the sweep: no fallback to the contractions."""
+    reaction = pinching._reaction
+    monkeypatch.setattr(pinching, "_reaction",
+                        lambda p, h, kb: reaction(p, h, kb) + 1e-6 * h[0, 1, 1] ** 5)
+    with pytest.raises(SlicePolynomialMismatch, match="misses _reaction"):
+        reaction_sweep(params, SweepGrid(resolution=8, refine_rounds=0, bisect=False,
+                                         stratum=stratum))
+
+
+def test_reaction_off_the_polynomial_exits_3(monkeypatch, tmp_path, capsys):
+    reaction = pinching._reaction
+    monkeypatch.setattr(pinching, "_reaction",
+                        lambda p, h, kb: reaction(p, h, kb) + 1e-6 * h[0, 1, 1] ** 5)
+    rc = main(["sweep", "--variant", "thm2", "--resolution", "8", "--no-bisect",
+               "--output-dir", str(tmp_path)])
+    assert rc == 3
+    assert "misses _reaction" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def _contraction_eval_configs(params, stratum, coords):
+    """The lattice evaluation the slice polynomial replaced, kept as a
+    test-only oracle: the reaction from the identities contractions on the
+    realized h of every feasible entry."""
+    ok, cfg = _slice_configs(params, stratum, coords)
+    cfg = dict(zip(cfg, np.broadcast_arrays(*cfg.values())))
+    at = {key: v[ok] for key, v in cfg.items()}
+    vals = np.full(ok.shape, -np.inf)
+    vals[ok] = _reaction(params, _config_h(params, at), at["kbar"])
+    if params.variant == "thm1":
+        return vals, None, ok, cfg
+    printed = np.full(ok.shape, -np.inf)
+    printed[ok] = vals[ok] - 4.0 * params.gamma * (2.0 * at["a"] * at["c"]) * at["b"] ** 2
+    return vals, printed, ok, cfg
+
+
+@pytest.mark.parametrize("params,stratum", [
+    (ConeParams("thm1", n=2), "full"), (ConeParams("thm1", n=4), "full"),
+    (ConeParams("thm2"), "full"), (ConeParams("thm1", n=2, beta=1.0), "hzero")],
+    ids=["thm1_n2", "thm1_n4", "thm2", "hzero"])
+def test_contraction_oracle_reproduces_report(monkeypatch, params, stratum):
+    """At resolution 16, every report of the polynomial route, bisection
+    included, is the one the contraction lattice writes."""
+    grid = SweepGrid(resolution=16, stratum=stratum)
+    report = asdict(reaction_sweep(replace(params), grid))
+    monkeypatch.setattr(pinching, "_eval_configs", _contraction_eval_configs)
+    assert asdict(reaction_sweep(replace(params), grid)) == report
+
+
+@pytest.mark.parametrize("params", [
+    ConeParams("thm1", n=2, beta=1e3), ConeParams("thm1", n=4, beta=1e4),
+    ConeParams("thm1", n=2, alpha=0.5 + 1e-5),
+    ConeParams("thm2", k=0.7, gamma=0.5, epsilon=1e3)],
+    ids=["beta1e3", "n4_beta1e4", "alpha_near_half", "epsilon1e3"])
+def test_thin_or_steep_slice_fits(monkeypatch, params):
+    """A thin feasible band (x + y >= beta/(1 + beta), a^2 + b^2 + c^2 >=
+    epsilon/(2 + epsilon)) or a steep |H|^2 = num/(alpha - 1/n) still fits:
+    written in kbar, the polynomial is well conditioned there, and the sweep
+    finds the contraction lattice's argmax and sup."""
+    grid = SweepGrid(resolution=16, bisect=False)
+    report = reaction_sweep(replace(params), grid)
+    monkeypatch.setattr(pinching, "_eval_configs", _contraction_eval_configs)
+    oracle = reaction_sweep(replace(params), grid)
+    assert (report.argmax, report.sup_value) == (oracle.argmax, oracle.sup_value)
+
+
+@pytest.mark.parametrize("res,dim,chunk", [(24, 3, 1024), (24, 3, 131072), (33, 3, 1024),
+                                           (64, 2, 1024), (5, 1, 3), (40, 3, 1024)])
+def test_chunks_cover_the_lattice_in_order(res, dim, chunk):
+    """The chunk ranges tile the lattice in lexicographic order, in chunks of
+    whole slabs, of rows within a slab (res 33 and 40 split each slab
+    unevenly) or of single points, and each chunk's broadcast axes list its
+    points in that order."""
+    params = ConeParams("thm2") if dim == 3 else ConeParams("thm1", n=2)
+    stratum = "hzero" if dim == 1 else "full"
+    flat = np.stack(np.unravel_index(np.arange(res ** dim), (res,) * dim)) / (res - 1.0)
+    done = 0
+    for lo, hi in _chunk_ranges(params, stratum, res, chunk):
+        assert lo == done and hi - lo <= _chunk_size(params, chunk)
+        block = np.stack([np.ravel(co) for co in np.broadcast_arrays(
+            *_lattice_chunk(params, stratum, res, lo, hi))])
+        assert np.array_equal(block, flat[:, lo:hi])
+        done = hi
+    assert done == res ** dim
