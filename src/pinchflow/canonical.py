@@ -183,12 +183,9 @@ def make_surface(kind: str, **params) -> CanonicalSurface:
 # general-dimension geodesic spheres (pointwise jets only)
 
 def _hyperspherical_factors(n):
-    """Coordinate j of the unit n-sphereis a product of angle factors."""
-    coords = []
-    for j in range(n):
-        coords.append([(i, "s") for i in range(j)] + [(j, "c")])
-    coords.append([(i, "s") for i in range(n)])
-    return coords
+    """Coordinate j of the unit n-sphere is a product of angle factors."""
+    return ([[(i, "s") for i in range(j)] + [(j, "c")] for j in range(n)]
+            + [[(i, "s") for i in range(n)]])
 
 
 def _factor_value(kind, theta, order):
@@ -280,7 +277,6 @@ def _analytic_normals(surface: CanonicalSurface, uu, vv) -> np.ndarray:
         n0 = _veronese_bilinear(x, x) - _veronese_bilinear(y, y)
         n1 = _veronese_bilinear(x, y)
         n0 /= np.linalg.norm(n0, axis=0)
-        n1 -= np.einsum("m...,m...->...", n1, n0) * n0
         n1 /= np.linalg.norm(n1, axis=0)
         frame[0] = n0
         frame[1] = n1

@@ -133,12 +133,8 @@ def cmd_verify(args) -> int:
 # canonical
 
 def _surface_params(args) -> dict:
-    params = {}
-    for key in ("rho", "r1", "r2"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    return params
+    return {key: getattr(args, key) for key in ("rho", "r1", "r2")
+            if getattr(args, key, None) is not None}
 
 
 def cmd_canonical(args) -> int:
@@ -366,7 +362,6 @@ def build_parser():
         p.add_argument("--" + key.replace("_", "-"), type=float, default=getattr(flow_cfg, key))
     p.add_argument("--stride", type=int, default=flow_cfg.stride,
                    help="velocity evaluations between monitor records")
-    p.add_argument("--flat-window", type=int, default=flow_cfg.flat_window)
     p.add_argument("--cone", choices=["thm1", "thm2"], default=None)
     _add_cone_flags(p)
     p.add_argument("--prefix", default="")

@@ -50,8 +50,11 @@ SNAPSHOT_VERSION = 1
 H_THRESHOLD = 1e-3          # |H| cutoff for ratio_max
 MAX_STEPS = 2_000_000       # step budget of run
 FILTER_FRACTION = 0.75      # resolvable share of the zonal band (_zonal_filter)
-SHRINK_AREA_FRAC = 0.05     # Shrinking: final area below this share of the initial
-SHRINK_RATIO_TOL = 0.1      # Shrinking: |A|^2/|H|^2 within this of 1/2
+SHRINK_WINDOW = (1e-2, 1e-1)  # resolved records of _verdict: area / initial area
+SHRINK_MIN_RECORDS = 3      # resolved records a Shrinking fit needs
+SLOPE_TOL = 0.1             # fitted slope of 1/|H|^2 within this share of -2/n
+RATIO_TOL = 0.05            # |A|^2/|H|^2 within this of 1/n on resolved records
+FLAT_SPAN = 0.1             # flow time a2_max stays flat for ApproachTotallyGeodesic
 RADIUS_AXIS = 3             # ambient axis of a geodesic sphere's radius trajectory
 SCHEMES = ("euler", "rk2", "rkl2")
 # RKL2 super-step rules.  The s-stage recurrence is stable for steps up to
@@ -109,8 +112,7 @@ class FlowConfig:
     cfl: float = 0.2
     t_max: float = 1.0
     ceiling: float = 1e6             # a2_max that stops a run
-    flat_threshold: float = 1e-4
-    flat_window: int = 50            # consecutive monitor records below threshold
+    flat_threshold: float = 1e-4     # a2_max of ApproachTotallyGeodesic
     stride: int = 25                 # velocity evaluations between monitor records
     sigma: float = 0.5               # grad_ratio exponent: |grad A|^2 / g^(2 - sigma)
     kbar: float = 1.0
@@ -124,10 +126,8 @@ class FlowConfig:
         for name in ("cfl", "t_max", "sigma", "ceiling", "flat_threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise BadParams("%s must be finite" % name)
-        if self.cfl <= 0 or self.t_max <= 0:
-            raise BadParams("cfl and t_max must be positive")
-        if self.stride < 1 or self.flat_window < 1:
-            raise BadParams("stride and flat_window must be at least 1")
+        if self.cfl <= 0 or self.t_max <= 0 or self.stride < 1:
+            raise BadParams("cfl and t_max must be positive and stride at least 1")
         if not (math.isfinite(self.kbar) and self.kbar > 0):
             # the monitor divides the metric by kbar and rescales by sqrt(kbar)
             raise BadParams("kbar must be a finite positive number")
@@ -365,18 +365,14 @@ def sphere_ode_oracle(rho0: float, n: int, t) -> float | np.ndarray:
     if np.any(arg >= 1.0) or np.any(arg <= -1.0):
         raise Extinct("cos(rho0) * e^{nt} leaves (-1, 1)")
     out = np.arccos(arg)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def sphere_extinction_time(rho0: float, n: int) -> float:
     if not (0.0 < rho0 < math.pi):
         raise BadParams("need rho0 in (0, pi)")
     c = abs(math.cos(rho0))
-    if c == 0.0:
-        return math.inf
-    return -math.log(c) / n
+    return -math.log(c) / n if c > 0.0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -488,23 +484,48 @@ def _mean_radius(surface: GridSurface, axis: int) -> float:
     return float(np.mean(np.arccos(np.clip(dots, -1.0, 1.0))))
 
 
-def _extinction_estimate(records) -> float | None:
-    if len(records) < 2:
-        return None
-    a, b = records[-2], records[-1]
-    if not (b.area < a.area and b.t > a.t and b.area > 0):
-        return None
-    return b.t + b.area * (b.t - a.t) / (a.area - b.area)
+def _flat_for_span(records, threshold: float) -> bool:
+    """a2_max below threshold on every record of the last FLAT_SPAN of flow
+    time, the record that opens the span included."""
+    start = records[-1].t - FLAT_SPAN
+    for rec in reversed(records):
+        if not rec.a2_max < threshold:
+            return False
+        if rec.t <= start:
+            return True
+    return False
+
+
+def _verdict(records, cfg: FlowConfig, early: bool):
+    """(outcome, extinction_time) of a run from its monitor records.
+
+    A type-I round point has 1/|H|^2 affine in t with slope -2/n and
+    |A|^2/|H|^2 = 1/n (Huisken, J. Differential Geom. 20, 1984; Andrews &
+    Baker, J. Differential Geom. 85, 2010).  A run that stopped early is
+    Shrinking when its resolved records show both, and the root of the
+    least-squares line of 1/h_max^2 in t is its extinction time.
+    """
+    if _flat_for_span(records, cfg.flat_threshold):
+        return "ApproachTotallyGeodesic", None
+    if not early:
+        return "Inconclusive", None
+    n, (lo, hi), a0 = 2, SHRINK_WINDOW, records[0].area   # every grid is a surface
+    window = [rec for rec in records if lo <= rec.area / a0 <= hi]
+    if len(window) >= SHRINK_MIN_RECORDS and all(
+            abs(rec.ratio_max - 1.0 / n) <= RATIO_TOL for rec in window):
+        slope, icept = np.polyfit([r.t for r in window], [r.h_max ** -2 for r in window], 1)
+        if abs(slope + 2.0 / n) <= SLOPE_TOL * 2.0 / n:
+            return "Shrinking", float(-icept / slope)
+    return "NumericalBlowup", None
 
 
 def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
-    """Evolve until t_max, a sustained-flat window, or the blowup ceiling.
+    """Evolve until t_max, FLAT_SPAN of flat flow time, or an early stop.
 
-    Outcomes: Shrinking (ceiling hit with area collapsed and |A|^2/|H|^2
-    near 1/n), NumericalBlowup (ceiling hit without the shrinking
-    signature), ApproachTotallyGeodesic (a2_max below flat_threshold on the
-    last flat_window records), Inconclusive (t_max or step budget).  A step
-    or monitor that fails ends the run like the ceiling, with a note.
+    A run stops early, with a note, at the blowup ceiling or when a step or
+    monitor fails.  _verdict decides the outcome from the records:
+    ApproachTotallyGeodesic, Inconclusive (t_max or step budget), or for an
+    early stop Shrinking or NumericalBlowup; the ceiling takes no part.
 
     Pure computation: no files are written; see write_monitor_csv and
     write_snapshot for the artifact formats.
@@ -513,7 +534,6 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
     axis = RADIUS_AXIS if surface.meta.get("kind") == "geodesic-sphere" else None
     state = FlowState(t=0.0, step_index=0, surface=surface, dt_last=0.0)
     records, radius, notes = [], [], []
-    outcome = None
 
     def observe(jets, failure=None):
         """Record state's surface from its jets.  If the monitor fails, note
@@ -533,10 +553,8 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
     observe(jets)
     while True:
         if state.t >= cfg.t_max:
-            outcome = "Inconclusive"
             break
         if state.step_index >= MAX_STEPS:
-            outcome = "Inconclusive"
             notes.append("step budget exhausted at t = %.6f" % state.t)
             break
         evaluated, note = state.evaluations, None
@@ -551,24 +569,18 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
             # here, as the traceback would keep the failed step's arrays alive
             notes.append(note)
             if records[-1].t != state.t:
-                observe(jets, "final monitor unavailable (%s); classifying from last record")
+                observe(jets, "final monitor unavailable (%s)")
             break
         jets = batch_jets(state.surface)
         if state.evaluations // cfg.stride > evaluated // cfg.stride:
-            if not observe(jets, "monitor failed mid-run: %s; classifying from last record"):
+            if not observe(jets, "monitor failed mid-run: %s"):
                 break
-            flat = [rec.a2_max < cfg.flat_threshold for rec in records[-cfg.flat_window:]]
-            if len(flat) == cfg.flat_window and all(flat):
-                outcome = "ApproachTotallyGeodesic"
+            if _flat_for_span(records, cfg.flat_threshold):
                 break
 
-    if outcome is None:
-        last = records[-1]
-        shrunk = (last.area < SHRINK_AREA_FRAC * records[0].area
-                  and math.isfinite(last.ratio_max)
-                  and abs(last.ratio_max - 1.0 / 2.0) < SHRINK_RATIO_TOL)
-        outcome = "Shrinking" if shrunk else "NumericalBlowup"
-    extinction = _extinction_estimate(records) if outcome == "Shrinking" else None
+    # a failed step or monitor or the flat span stops the run short of both limits
+    early = state.t < cfg.t_max and state.step_index < MAX_STEPS
+    outcome, extinction = _verdict(records, cfg, early)
     return FlowResult(outcome=outcome, records=records, final_state=state,
                       extinction_time=extinction, radius_trajectory=radius, notes=notes,
                       config=cfg)

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import BadDims, BadParams, EmptyFeasibleSet, SlicePolynomialMismatch
 from .identities import kperp_scalar, norms_batch, r1_batch, r2_batch
 
-SUP_SIGN_TOL = 1e-9      # "sup is positive" threshold for bisection
+SUP_SIGN_TOL = 1e-9      # "sup is positive" threshold, at least (see _sign_tol)
 BRACKET_WIDTH = 1e-4
 REFINE_FACTOR = 4        # lattice spacing shrink per refinement round
 CRITICAL_MAX_RES = 64    # lattice resolution cap of the critical-constant search
@@ -252,8 +252,8 @@ class SweepGrid:
 
     resolution: int = 200
     refine_rounds: int = 3
-    # configurations per chunk at n = 2 (_chunk_size scales it by (2/n)^2);
-    # it bounds the memory of one evaluation, a few arrays of chunk entries
+    # configurations per chunk (at least 1024); it bounds the memory of one
+    # evaluation, a few arrays of chunk entries
     chunk: int = 32768
     stratum: str = "full"
     bisect: bool = True
@@ -526,22 +526,17 @@ def _lattice_chunk(params, stratum, res, lo, hi):
 
 
 def _chunk_ranges(params, stratum, res, chunk):
-    """Lattice index ranges [lo, hi) of at most _chunk_size configurations,
+    """Lattice index ranges [lo, hi) of at most max(1024, chunk) configurations,
     in lattice order, each a run of whole res^j blocks inside one res^(j+1)
     block, j as large as the chunk size allows."""
     dim = _free_dim(params, stratum)
-    step = _chunk_size(params, chunk)
+    step = max(1024, chunk)
     j = max(i for i in range(dim) if res ** i <= step)
     unit = res ** j
     per = min(res, step // unit)
     for top in range(0, res ** dim, unit * res):
         for first in range(0, res, per):
             yield top + first * unit, top + min(first + per, res) * unit
-
-
-def _chunk_size(params, chunk):
-    scale = (2.0 / params.n) ** 2
-    return max(1024, int(chunk * scale))
 
 
 def _first_max(coords, evaluated):
@@ -594,7 +589,14 @@ def _refine(params, grid, best, best_cfg, center):
 
 
 def _sup_at(params, resolution, stratum, chunk):
-    return _run_base_sweep(params, stratum, resolution, chunk)[0]
+    """(sup, argmax config) of one base-lattice pass."""
+    return _run_base_sweep(params, stratum, resolution, chunk)[:2]
+
+
+def _sign_tol(sup, cfg):
+    """The "sup is positive" threshold at argmax config cfg: SUP_SIGN_TOL, or
+    FIT_TOL times the reaction's size there (see _slice_polynomial)."""
+    return max(SUP_SIGN_TOL, FIT_TOL * max(abs(sup), (1.0 + cfg["hsq"]) ** 2))
 
 
 def _with_constant(params, stratum, value):
@@ -623,13 +625,12 @@ def _critical_constant(params, grid):
     and bisect the first bracket down to BRACKET_WIDTH."""
     stratum = grid.stratum
     res = min(grid.resolution, CRITICAL_MAX_RES)
-    chunk = grid.chunk
     values = _scan_range(params, stratum)
     notes = []
 
     def positive(cv):
-        p = _with_constant(params, stratum, float(cv))
-        return _sup_at(p, res, stratum, chunk) > SUP_SIGN_TOL
+        sup, cfg = _sup_at(_with_constant(params, stratum, float(cv)), res, stratum, grid.chunk)
+        return cfg is not None and sup > _sign_tol(sup, cfg)
 
     flags = [positive(cv) for cv in values]
     brackets = [(float(values[i]), float(values[i + 1]), flags[i])
@@ -690,8 +691,8 @@ def reaction_sweep(params: ConeParams, grid: SweepGrid | None = None) -> SweepRe
     if abs(sup - best) > 1e-10 * max(1.0, abs(best)):
         notes.append("argmax recheck moved sup from %.15e to %.15e" % (best, sup))
 
-    claim = "sup <= 0 (negativity claim holds on this slice)" if sup <= SUP_SIGN_TOL \
-        else "sup > 0 (negativity claim FAILS on this slice)"
+    claim = ("sup <= 0 (negativity claim holds on this slice)" if sup <= _sign_tol(sup, best_cfg)
+             else "sup > 0 (negativity claim FAILS on this slice)")
     notes.append("measured sup = %.6e: %s" % (sup, claim))
     if params.variant == "thm2":
         notes.append("base-lattice max (before refinement): reaction %.6e, "
@@ -781,9 +782,7 @@ class BlowupTime:
         denom = self.n - 8.0 * self.b0 * (t - self.tau)
         out = np.where(t < self.t_star, self.n * self.b0 / np.where(denom > 0, denom, 1.0),
                        np.inf)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if out.ndim == 0 else out
 
 
 def blowup_time(b0: float, tau: float, n: int) -> BlowupTime:
@@ -805,6 +804,4 @@ def harnack_bound(h0: float, csharp: float, t: float, delta0: float, d) -> float
     """
     d = np.asarray(d, dtype=float)
     out = h0 / (1.0 + csharp * np.exp(-0.5 * delta0 * t) * d * h0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from pinchflow.canonical import (geodesic_sphere_jet, make_surface, perturb,
-                                 sample_grid)
+from pinchflow.canonical import (_analytic_normals, geodesic_sphere_jet, make_surface,
+                                 perturb, sample_grid)
 from pinchflow.errors import BadParams, DegenerateAfterPerturb
 from pinchflow.grids import batch_jets
 from pinchflow.tensor_kernel import batch_geometry, point_geometry
@@ -141,6 +141,22 @@ def test_perturb_deviation_scales_with_amplitude():
 def test_perturb_keeps_samples_on_sphere():
     grid = perturb(make_surface("veronese"), (3, 2), 0.05, 32, 32, direction=1)
     assert np.abs(np.linalg.norm(grid.samples, axis=0) - 1.0).max() < 1e-12
+
+
+def test_veronese_analytic_normals_are_orthonormal_normals():
+    """n0 = B(x, x) - B(y, y) and n1 = B(x, y) are orthogonal without a
+    Gram-Schmidt step, and both are normal to the chart at every interior
+    point of a 24 x 48 grid."""
+    surf = make_surface("veronese")
+    grid = sample_grid(surf, 24, 48)
+    uu, vv = np.meshgrid(grid.u_values[grid.valid_rows], grid.v_values, indexing="ij")
+    pos, first, _ = surf.chart(uu, vv)
+    n0, n1 = _analytic_normals(surf, uu, vv)
+    assert np.abs(np.einsum("m...,m...->...", n0, n1)).max() <= 1e-15
+    for nvec in (n0, n1):
+        assert np.abs(np.linalg.norm(nvec, axis=0) - 1.0).max() <= 1e-15
+        for vec in (pos, first[0], first[1]):
+            assert np.abs(np.einsum("m...,m...->...", nvec, vec)).max() <= 1e-14
 
 
 def test_perturb_excessive_amplitude_degenerates():

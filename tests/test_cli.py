@@ -224,8 +224,7 @@ def test_flow_monitor_failure_mid_run_writes_artifacts(tmp_path, monkeypatch):
     data = read_json(tmp_path / "flow.json")
     assert len(calls) == 3 and data["records"] == 2
     assert data["outcome"] == "NumericalBlowup"
-    assert data["notes"] == ["monitor failed mid-run: min Gram determinant 0; "
-                             "classifying from last record"]
+    assert data["notes"] == ["monitor failed mid-run: min Gram determinant 0"]
     assert data["final_t"] == calls[-1] > calls[-2]
     assert len((tmp_path / "monitor.csv").read_text().splitlines()) == 3
     assert (tmp_path / "snapshot_final.txt").read_text().splitlines()[0].endswith(
@@ -275,7 +274,6 @@ def test_report_flags_unreadable_artifact(tmp_path, capsys):
     ["verify", "--seed", "-1"],
     ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--stride", "0"],
     ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--stride", "-5"],
-    ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8", "--flat-window", "0"],
     ["flow", "--surface", "geodesic-sphere", "--nv", "15"],
     ["flow", "--surface", "geodesic-sphere", "--nu", "3", "--nv", "8"],
     ["flow", "--surface", "geodesic-sphere", "--nv", "0"],
@@ -305,7 +303,7 @@ def test_report_flags_unreadable_artifact(tmp_path, capsys):
     ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "8",
      "--harnack-csharp", "1", "--harnack-delta0", "nan"],
 ], ids=["trials0", "trials-3", "tol_inf", "tol_nan", "tol_neg", "tol0", "seed_neg", "stride0",
-        "stride-5", "flat_window0", "sphere_nv15", "sphere_nu3", "sphere_nv0", "sphere_nv2",
+        "stride-5", "sphere_nv15", "sphere_nu3", "sphere_nv0", "sphere_nv2",
         "torus_nu0", "torus_nv2", "kbar0", "kbar_neg", "kbar_nan", "canonical_tol_inf",
         "canonical_tol_nan", "canonical_tol_neg", "canonical_r1_nan", "flow_r1_nan",
         "amplitude_nan", "amplitude_inf", "harnack_csharp_nan", "harnack_csharp_inf",
