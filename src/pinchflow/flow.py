@@ -16,7 +16,9 @@ takes one Runge-Kutta-Legendre super-step of s <= RKL2_MAX_STAGES stages
 interval grows like s^2 while its cost grows like s.  Every scheme shortens
 its last step so that the flow lands on t_max.  A step counts its velocity
 evaluations (1, 2 and s), and run takes a monitor record after each step
-that crosses a multiple of the stride in that count.
+that crosses a multiple of the stride in that count.  After each record run
+asks _stop whether the outcome is decided: the round-point fit over the
+resolved records is stable, or the surface has shrunk past them.
 
 The time stepper uses a lean velocity evaluation (projection of the
 chart-trace of the second derivatives onto the normal space), which needs no
@@ -55,6 +57,7 @@ SHRINK_MIN_RECORDS = 3      # resolved records a Shrinking fit needs
 SLOPE_TOL = 0.1             # fitted slope of 1/|H|^2 within this share of -2/n
 RATIO_TOL = 0.05            # |A|^2/|H|^2 within this of 1/n on resolved records
 FLAT_SPAN = 0.1             # flow time a2_max stays flat for ApproachTotallyGeodesic
+DECIDED_TOL = 1e-3          # relative change of the fitted extinction time that ends a run
 RADIUS_AXIS = 3             # ambient axis of a geodesic sphere's radius trajectory
 SCHEMES = ("euler", "rk2", "rkl2")
 # RKL2 super-step rules.  The s-stage recurrence is stable for steps up to
@@ -496,36 +499,61 @@ def _flat_for_span(records, threshold: float) -> bool:
     return False
 
 
-def _verdict(records, cfg: FlowConfig, early: bool):
-    """(outcome, extinction_time) of a run from its monitor records.
-
-    A type-I round point has 1/|H|^2 affine in t with slope -2/n and
-    |A|^2/|H|^2 = 1/n (Huisken, J. Differential Geom. 20, 1984; Andrews &
-    Baker, J. Differential Geom. 85, 2010).  A run that stopped early is
-    Shrinking when its resolved records show both, and the root of the
-    least-squares line of 1/h_max^2 in t is its extinction time.
-    """
-    if _flat_for_span(records, cfg.flat_threshold):
-        return "ApproachTotallyGeodesic", None
-    if not early:
-        return "Inconclusive", None
+def _round_point_fit(records):
+    """Extinction time of the type-I round point that records show, or None:
+    1/|H|^2 affine in t with slope -2/n and |A|^2/|H|^2 = 1/n (Huisken, J.
+    Differential Geom. 20, 1984; Andrews & Baker, J. Differential Geom. 85,
+    2010) on at least SHRINK_MIN_RECORDS records of the resolved window.  It
+    is the root of the least-squares line of 1/h_max^2 in t."""
     n, (lo, hi), a0 = 2, SHRINK_WINDOW, records[0].area   # every grid is a surface
     window = [rec for rec in records if lo <= rec.area / a0 <= hi]
     if len(window) >= SHRINK_MIN_RECORDS and all(
             abs(rec.ratio_max - 1.0 / n) <= RATIO_TOL for rec in window):
         slope, icept = np.polyfit([r.t for r in window], [r.h_max ** -2 for r in window], 1)
         if abs(slope + 2.0 / n) <= SLOPE_TOL * 2.0 / n:
-            return "Shrinking", float(-icept / slope)
-    return "NumericalBlowup", None
+            return float(-icept / slope)
+    return None
+
+
+def _verdict(records, cfg: FlowConfig, early: bool):
+    """(outcome, extinction_time) of a run from its monitor records."""
+    if _flat_for_span(records, cfg.flat_threshold):
+        return "ApproachTotallyGeodesic", None
+    if not early:
+        return "Inconclusive", None
+    extinction = _round_point_fit(records)
+    return ("NumericalBlowup", None) if extinction is None else ("Shrinking", extinction)
+
+
+def _stop(records, cfg: FlowConfig):
+    """Notes of a stop after the newest record, or None to go on: none once
+    a2_max is flat for FLAT_SPAN, one once the verdict of an early stop is
+    decided, as the newest record lies past the window or moves the fit's
+    extinction time by at most DECIDED_TOL."""
+    if _flat_for_span(records, cfg.flat_threshold):
+        return []
+    area, (lo, hi) = records[-1].area / records[0].area, SHRINK_WINDOW
+    if area > hi:
+        return None
+    decided = "verdict decided at t = %.6f: " % records[-1].t
+    if area < lo:
+        return [decided + "area below the resolved window"]
+    full, prior = _round_point_fit(records), _round_point_fit(records[:-1])
+    if None not in (full, prior) and abs(full - prior) <= DECIDED_TOL * abs(full):
+        return [decided + "extinction fit stable to %g" % DECIDED_TOL]
+    return None
 
 
 def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
     """Evolve until t_max, FLAT_SPAN of flat flow time, or an early stop.
 
-    A run stops early, with a note, at the blowup ceiling or when a step or
-    monitor fails.  _verdict decides the outcome from the records:
-    ApproachTotallyGeodesic, Inconclusive (t_max or step budget), or for an
-    early stop Shrinking or NumericalBlowup; the ceiling takes no part.
+    A run stops early, with a note, at the blowup ceiling, when a step or
+    monitor fails, or once _stop finds its verdict decided.  _verdict
+    decides the outcome from the records: ApproachTotallyGeodesic,
+    Inconclusive (t_max or step budget), or for an early stop Shrinking or
+    NumericalBlowup; the ceiling takes no part.  A decided verdict stands
+    even if its record lands on t_max, and its extinction time may lie past
+    t_max.
 
     Pure computation: no files are written; see write_monitor_csv and
     write_snapshot for the artifact formats.
@@ -549,7 +577,7 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
             radius.append((state.t, _mean_radius(state.surface, axis)))
         return True
 
-    jets = batch_jets(surface)
+    jets, stop = batch_jets(surface), None
     observe(jets)
     while True:
         if state.t >= cfg.t_max:
@@ -575,11 +603,13 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
         if state.evaluations // cfg.stride > evaluated // cfg.stride:
             if not observe(jets, "monitor failed mid-run: %s"):
                 break
-            if _flat_for_span(records, cfg.flat_threshold):
+            if (stop := _stop(records, cfg)) is not None:
+                notes.extend(stop)
                 break
 
-    # a failed step or monitor or the flat span stops the run short of both limits
-    early = state.t < cfg.t_max and state.step_index < MAX_STEPS
+    # a failed step or monitor stops the run short of both limits; a decided
+    # verdict (a note from _stop) is an early stop wherever it falls
+    early = bool(stop) or (state.t < cfg.t_max and state.step_index < MAX_STEPS)
     outcome, extinction = _verdict(records, cfg, early)
     return FlowResult(outcome=outcome, records=records, final_state=state,
                       extinction_time=extinction, radius_trajectory=radius, notes=notes,

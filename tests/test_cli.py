@@ -174,16 +174,19 @@ def test_flow_artifacts(tmp_path):
 
 
 @pytest.mark.parametrize("scheme", ["euler", "rk2", "rkl2"])
-def test_flow_aborted_after_a_monitored_step_records_it_once(tmp_path, scheme):
+def test_flow_aborted_after_a_monitored_step_records_it_once(tmp_path, monkeypatch, scheme):
     """A step that hits the ceiling right after a monitored step leaves the
     run on the surface the last record already holds: no second record at
-    the same t, so the extinction estimate has two distinct records."""
+    the same t, so the extinction estimate has two distinct records.  The
+    verdict stop is turned off, as it would end the run before the ceiling."""
+    monkeypatch.setattr(pinchflow.flow, "_stop", lambda records, cfg: None)
     assert main(["flow", "--surface", "geodesic-sphere", "--nu", "16", "--nv", "32",
                  "--ceiling", "1e3", "--stride", "1", "--scheme", scheme,
                  "--output-dir", str(tmp_path)]) == 0
     times = [line.split(",")[0]
              for line in (tmp_path / "monitor.csv").read_text().splitlines()[1:]]
     data = read_json(tmp_path / "flow.json")
+    assert "beyond ceiling" in data["notes"][0]
     assert len(set(times)) == len(times) == data["records"]
     assert data["outcome"] == "Shrinking"
     assert data["extinction_time"] is not None

@@ -1,5 +1,8 @@
 """Flow driver: velocities, stepping, monitoring, snapshots, the ODE oracle."""
 
+from dataclasses import replace
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,10 @@ import pinchflow.flow
 from pinchflow.canonical import make_surface, perturb, sample_grid
 from pinchflow.errors import DegenerateJet, Extinct
 from pinchflow.flow import (CSV_HEADER, FILTER_FRACTION, FLAT_SPAN, RKL2_ACCURACY,
-                            RKL2_MAX_STAGES, RKL2_SAFETY, SCHEMES, FlowConfig,
-                            FlowState, MonitorRecord, _lean_velocity, _refresh_poles,
-                            _verdict, _zonal_mask, mcf_velocity, monitor, read_snapshot, run,
+                            RKL2_MAX_STAGES, RKL2_SAFETY, SCHEMES, SHRINK_MIN_RECORDS,
+                            FlowConfig, FlowState, MonitorRecord, _flat_for_span,
+                            _lean_velocity, _refresh_poles, _stop, _verdict, _zonal_mask,
+                            mcf_velocity, monitor, read_snapshot, run,
                             sphere_extinction_time, sphere_ode_oracle, step,
                             write_monitor_csv, write_snapshot)
 from pinchflow.grids import _d1, _d2, _stencil_index, batch_jets
@@ -110,18 +114,106 @@ def test_rkl2_small_sphere_ends_shrinking_near_extinction():
     assert abs(res.extinction_time - t_star) <= 0.05 * t_star
 
 
-@pytest.mark.parametrize("nu,nv,amplitude,stride", [(12, 24, 0.0, 25), (32, 64, 0.0, 25),
-                                                    (32, 64, 0.01, 50)],
-                         ids=["12x24", "32x64", "perturbed_32x64"])
+def _flat_stop(records, cfg):
+    """_stop without its verdict rules: only a flat a2_max ends a run early."""
+    return [] if _flat_for_span(records, cfg.flat_threshold) else None
+
+
+def _run(grid, cfg, to_ceiling=False):
+    """run(grid, cfg); with to_ceiling, a decided verdict does not stop it."""
+    with pytest.MonkeyPatch.context() as patch:
+        if to_ceiling:
+            patch.setattr(pinchflow.flow, "_stop", _flat_stop)
+        return run(grid, cfg)
+
+
+@lru_cache(maxsize=None)
+def _sphere_run(nu, nv, amplitude, stride, to_ceiling):
+    """A rho = pi/3 sphere, perturbed in mode (2, 2), run at the default ceiling."""
+    grid = perturb(make_surface("geodesic-sphere", rho=np.pi / 3), (2, 2), amplitude, nu, nv)
+    return _run(grid, FlowConfig(t_max=1.0, stride=stride), to_ceiling)
+
+
+def _rows(records):
+    return [rec.csv_row() for rec in records]
+
+
+SPHERE_RUNS = pytest.mark.parametrize("nu,nv,amplitude,stride", [
+    (12, 24, 0.0, 25), (32, 64, 0.0, 25), (32, 64, 0.01, 50)],
+    ids=["12x24", "32x64", "perturbed_32x64"])
+
+
+@SPHERE_RUNS
 def test_sphere_ends_shrinking_at_default_ceiling(nu, nv, amplitude, stride):
     """The verdict is fitted on the records the grid resolves, so the
-    unresolved records before the default ceiling do not spoil it."""
-    grid = perturb(make_surface("geodesic-sphere", rho=np.pi / 3), (2, 2), amplitude, nu, nv)
-    res = run(grid, FlowConfig(t_max=1.0, stride=stride))
+    unresolved records before the default ceiling do not spoil it (the run
+    is taken past its decided verdict)."""
+    res = _sphere_run(nu, nv, amplitude, stride, True)
     t_star = sphere_extinction_time(np.pi / 3, 2)
     assert res.outcome == "Shrinking"
     assert abs(res.extinction_time - t_star) <= 0.02 * t_star
     assert any("ceiling 1.000e+06" in note for note in res.notes)
+
+
+@SPHERE_RUNS
+def test_sphere_run_stops_at_its_verdict(nu, nv, amplitude, stride):
+    """Once the window fit is stable the run stops: its records are the
+    first records of the run to the ceiling, and it takes fewer evaluations."""
+    res, full = (_sphere_run(nu, nv, amplitude, stride, past) for past in (False, True))
+    assert res.outcome == "Shrinking"
+    assert abs(res.extinction_time - sphere_extinction_time(np.pi / 3, 2)) <= 2e-3
+    assert len(res.notes) == 1 and "verdict decided" in res.notes[0]
+    assert "extinction fit stable" in res.notes[0]
+    assert len(res.records) < len(full.records)
+    assert _rows(res.records) == _rows(full.records[:len(res.records)])
+    assert res.final_state.evaluations < full.final_state.evaluations
+
+
+def test_sphere_run_past_its_window_stops_unresolved():
+    """At stride 200 the 12 x 24 window holds too few records for a fit: the
+    run stops at the first record past the window, with the verdict of the
+    run to the ceiling."""
+    grid = geodesic_grid(np.pi / 3, 12, 24)
+    res, full = (_run(grid, FlowConfig(stride=200), past) for past in (False, True))
+    assert res.outcome == full.outcome == "NumericalBlowup"
+    assert res.notes[-1].endswith("area below the resolved window")
+    assert res.records[-1].area < 1e-2 * res.records[0].area
+    assert _rows(res.records) == _rows(full.records[:len(res.records)])
+    assert res.final_state.evaluations < full.final_state.evaluations
+
+
+def test_decided_verdict_stands_at_t_max():
+    """A verdict decided before t_max ends the run Shrinking, with an
+    extinction time past t_max; so does one decided on a record at t_max."""
+    grid = geodesic_grid(np.pi / 3, 32, 64)
+    res = run(grid, FlowConfig(t_max=0.34, stride=25))
+    assert res.outcome == "Shrinking" and res.final_state.t < 0.34 < res.extinction_time
+    at_t_max = run(grid, FlowConfig(t_max=res.records[-1].t, stride=25))
+    assert at_t_max.final_state.t == at_t_max.config.t_max
+    assert (at_t_max.outcome, at_t_max.notes) == ("Shrinking", res.notes)
+
+
+@pytest.mark.parametrize("kind,params,nu,nv,cfg,outcome", [
+    ("flat-torus", {"r1": 0.6, "r2": 0.8}, 16, 16,
+     FlowConfig(cone=ConeParams("thm1", n=2), stride=1, t_max=0.05), "Inconclusive"),
+    ("geodesic-sphere", {"rho": np.pi / 2}, 16, 32, FlowConfig(stride=3),
+     "ApproachTotallyGeodesic")],
+    ids=["torus", "equator"])
+def test_runs_without_a_round_point_ignore_the_stop_rule(kind, params, nu, nv, cfg, outcome):
+    grid = sample_grid(make_surface(kind, **params), nu, nv)
+    res, full = (_run(grid, cfg, past) for past in (False, True))
+    assert res.outcome == full.outcome == outcome
+    assert res.notes == full.notes == []
+    assert _rows(res.records) == _rows(full.records)
+
+
+def test_perturbed_sphere_stays_in_the_thm1_cone_to_its_verdict():
+    """At the default ceiling the run stops before the unresolved records,
+    where q_max leaves the cone (up to about 1e6 on this grid)."""
+    grid = perturb(make_surface("geodesic-sphere", rho=np.pi / 3), (2, 2), 0.01, 32, 64)
+    res = run(grid, FlowConfig(cone=ConeParams("thm1", n=2), t_max=1.0, stride=50))
+    assert res.outcome == "Shrinking"
+    assert all(rec.q_max < 0.0 for rec in res.records)
 
 
 def _sphere_records(times, rho0=np.pi / 3):
@@ -156,6 +248,21 @@ def test_verdict_fits_the_resolved_window():
     for rec in recs:
         rec.t *= 1.2
     assert _verdict(recs, FlowConfig(), early=True) == ("NumericalBlowup", None)
+
+
+def test_stop_waits_for_a_stable_window_fit():
+    t_star = sphere_extinction_time(np.pi / 3, 2)
+    recs = _sphere_records(np.linspace(0.0, t_star * (1 - 1e-4), 200))
+    first = next(i for i, r in enumerate(recs) if r.area <= 1e-1 * recs[0].area)
+    last = first + SHRINK_MIN_RECORDS      # the first window record past the fit's minimum
+    cfg = FlowConfig()
+    assert _stop(recs[:last], cfg) is None
+    assert _stop(recs[:last + 1], cfg) == [
+        "verdict decided at t = %.6f: extinction fit stable to 0.001" % recs[last].t]
+    # a newest record that moves the fitted root by more than DECIDED_TOL
+    moved = replace(recs[last], h_max=recs[last].h_max * 1.01)
+    assert _stop(recs[:last] + [moved], cfg) is None
+    assert _stop(recs, cfg)[0].endswith("area below the resolved window")
 
 
 def test_run_cfl_too_large_blows_up():
