@@ -27,12 +27,12 @@ import numpy as np
 from . import canonical as canonical_mod
 from . import flow as flow_mod
 from .errors import (BadDims, BadParams, EmptyFeasibleSet, PinchflowError)
-# specialize and r1_batch are not called here (kperp_checks returns the frame
-# and the Li-Li margin); perfbench/tracing.py wraps them under this module
+# specialize, r1_batch, norms_batch and kperp_scalar are not called here
+# (kperp_checks returns the frame, the Li-Li margin, the norms and Kperp);
+# perfbench/tracing.py wraps them under this module
 from .frames import reconstruct, specialize  # noqa: F401
-from .identities import r1_batch  # noqa: F401
-from .identities import (kperp_checks, kperp_scalar, norms_batch,
-                         rm_perp_squared, z_brute_batch)
+from .identities import kperp_scalar, norms_batch, r1_batch  # noqa: F401
+from .identities import kperp_checks, rm_perp_squared, z_brute_batch
 from .pinching import ConeParams, SweepGrid, discriminant_report, reaction_sweep
 from .tensor_kernel import point_geometry
 
@@ -76,16 +76,15 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     h = _random_h(rng, trials)
 
-    zb = z_brute_batch(h)
-    normA2, normH2, traceless2 = norms_batch(h)
-    kp = kperp_scalar(h)
+    rm2 = rm_perp_squared(h)
+    zb = z_brute_batch(h, rm2)
+    chk = kperp_checks(h, kbar=1.0)
+    normA2, normH2, traceless2 = chk.norms
+    kp = chk.kperp
     zc = (normH2 - normA2) * traceless2 - 2.0 * kp * kp
     z_resid = float((np.abs(zb - zc) / (1.0 + np.abs(zb))).max())
-
-    rm2 = rm_perp_squared(h)
     rm_resid = float((np.abs(rm2 - 4.0 * kp * kp) / (1.0 + rm2)).max())
 
-    chk = kperp_checks(h, kbar=1.0)
     li_min = float(chk.li_li_margin.min())
     scale = 1.0 + np.abs(chk.reaction_brute)
     brute_closed_resid = float(

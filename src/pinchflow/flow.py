@@ -631,10 +631,9 @@ def write_snapshot(surface: GridSurface, path, t: float = 0.0) -> None:
         fh.write("# pinchflow-snapshot v%d topology=%s nu=%d nv=%d t=%s\n"
                  % (SNAPSHOT_VERSION, surface.topology, surface.nu, surface.nv,
                     repr(float(t))))
-        for i in range(surface.nu):
-            for j in range(surface.nv):
-                coords = " ".join(repr(float(x)) for x in surface.samples[:, i, j])
-                fh.write("%d %d %s\n" % (i, j, coords))
+        points = surface.samples.reshape(len(surface.samples), -1).T.tolist()
+        for p, coords in enumerate(points):   # (i, j) in row-major order
+            fh.write("%d %d %s\n" % (*divmod(p, surface.nv), " ".join(map(repr, coords))))
 
 
 def read_snapshot(path) -> GridSurface:

@@ -74,8 +74,10 @@ def r2_batch(h: np.ndarray) -> np.ndarray:
     return np.einsum("ij...,ij...->...", hh, hh)
 
 
-def z_brute_batch(h: np.ndarray) -> np.ndarray:
-    rm2 = rm_perp_squared(h)  # first, so its layout check runs before any einsum
+def z_brute_batch(h: np.ndarray, rm2: np.ndarray | None = None) -> np.ndarray:
+    """Z by its index sums; rm2 is rm_perp_squared(h) if the caller has it."""
+    if rm2 is None:
+        rm2 = rm_perp_squared(h)  # first, so its layout check runs before any einsum
     s = s_matrix(h)
     hh = np.einsum("a...,ipa...->ip...", mean_vector(h), h)
     cubic = np.einsum("ip...,ijb...,pjb...->...", hh, h, h)
@@ -136,6 +138,9 @@ class KperpChecks:
     laplacian_factor: np.ndarray
     li_li_margin: np.ndarray
     frame: ABCFrame
+    # the contractions of h the routes share: norms_batch(h), kperp_scalar(h)
+    norms: tuple
+    kperp: np.ndarray
 
 
 def _quartic_reaction(c: np.ndarray) -> np.ndarray:
@@ -199,6 +204,8 @@ def kperp_checks(h, kbar: float = 1.0) -> KperpChecks:
         laplacian_factor=lap,
         li_li_margin=li_li,
         frame=frame,
+        norms=(normA2, normH2, traceless),
+        kperp=kp,
     )
 
 

@@ -7,11 +7,13 @@ once, in _reaction, from the defining contractions of the identities module;
 reaction_of_Q evaluates it at one h.  On the Q = 0 slice the reaction is a
 low-degree polynomial in the slice coordinates, and the sweeps evaluate that
 polynomial on their lattices, reporting the measured supremum, its argmax,
-and bisected critical constants.  No polynomial is written out: for each
-cone, _slice_polynomial fits its coefficients to _reaction at nodes on fixed
-segments of the slice and checks the fit there and at independent points,
-raising SlicePolynomialMismatch if it misses.  The reported supremum is
-reaction_of_Q re-evaluated at the argmax.
+and bisected critical constants.  No polynomial is written out: each sweep
+fits the reaction once to _reaction, as a polynomial in the slice
+coordinates, |H|^2 and the cone constants (_fit_reaction), checks the fit
+at points and a constant off its nodes, raising SlicePolynomialMismatch if
+it misses, and substitutes the Q = 0 value of |H|^2 for each cone constant
+it visits (_slice_polynomial).  The reported supremum is reaction_of_Q
+re-evaluated at the argmax.
 
 The Q = 0 slice is compactified by degree-4 homogeneity: scaling h by
 lambda and kbar by lambda^2 scales every reaction by lambda^4, so it is
@@ -34,7 +36,7 @@ size.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -321,58 +323,151 @@ def _config_h(params, cfg):
 
 
 # ---------------------------------------------------------------------------
-# slice polynomials
+# the reaction polynomial
 #
-# The reactions are polynomials on the slice.  h enters _reaction through
-# |H|^2, kbar and products of the traceless entries, and |H|^2 is linear in
-# the squared coordinates and kbar, so thm1's reaction is a quadratic form
-# in (kbar, x, y), and thm2's is homogeneous of degree 4 in
-# (sqrt(kbar), a, b, c): it sees a and c through a^2, c^2 and ac and b
-# through b^2, so it has 14 monomials.  On the |H| = 0 stratum kbar and
-# x + y are fixed and the reaction is quadratic in tau.  Written in kbar,
-# the polynomial holds off the normalization kbar = 1 - (x + y) too, and a
-# thin feasible band (a large beta or epsilon) keeps it well conditioned.
-# The sweeps evaluate that polynomial.  Its coefficients are fitted to
-# _reaction for each cone, and the fit must reproduce _reaction at its
-# nodes and at independent check points, or the sweep raises.
+# The reactions are polynomials.  Realized by thm1_config_h or
+# thm2_config_h, h enters _reaction through its quantities of degree 2, w:
+# (kbar, x, y, |H|^2) for thm1 and (kbar, a^2, b^2, c^2, ac, |H|^2) for
+# thm2 (with a, c >= 0, sign(Kperp) Kperp = 2ac).  Each reaction is a
+# quadratic form in w, 10 or 20 monomials, with coefficients affine in the
+# cone constants _reaction reads: (1, alpha) for thm1 and (1, gamma, k) for
+# thm2; beta and epsilon enter only through the Q = 0 value of |H|^2.
+# _fit_reaction takes those 2 x 10 or 3 x 20 coefficients from _reaction
+# once per sweep and checks them at points and a constant off its nodes.
+# On the Q = 0 slice w = S z, linear in the slice's own quantities of
+# degree 2, z: (kbar, x, y) for thm1, (kbar, a^2, b^2, c^2, ac) for thm2
+# and (1, tau) on the |H| = 0 stratum, so substituting S turns the fit into
+# each constant's slice polynomial, a quadratic form in z
+# (_slice_polynomial).  Written in kbar, that polynomial holds off the
+# normalization kbar = 1 - (x + y) too.
 
 FIT_TOL = 1e-12          # fit residual bound, relative to the reaction's size
-# where the fit points sit on each fit segment, as fractions of its feasible
-# part: least-squares nodes, then check points the fit never sees
-FIT_LEVELS = (0.05, 0.35, 0.65, 0.95)
-CHECK_LEVELS = (0.2, 0.8)
-_LEVELS = np.array(FIT_LEVELS + CHECK_LEVELS)[:, None]
+FIT_CHECKS = 16          # check points of the fit
+
+# exponents of w in the fit variables, (kbar, x, y, |H|^2) for thm1 and
+# (kbar, a, b^2, c, |H|^2) for thm2, and of z in the slice polynomial's
+# variables (see _poly_args)
+_W = {"thm1": np.eye(4, dtype=int),
+      "thm2": np.array([(1, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 1, 0, 0),
+                        (0, 0, 0, 2, 0), (0, 1, 0, 1, 0), (0, 0, 0, 0, 1)])}
+_Z = {("thm1", "full"): np.eye(3, dtype=int),
+      ("thm1", "hzero"): np.array([(0,), (1,)]),
+      ("thm2", "full"): _W["thm2"][:5, :4]}
+# the node constants, then the check constant; the reaction is affine in them
+_FIT_CONSTANTS = {"thm1": [{"alpha": 1.0}, {"alpha": 2.0}, {"alpha": 1.5}],
+                  "thm2": [{"gamma": 0.0, "k": 0.0}, {"gamma": 1.0, "k": 0.0},
+                           {"gamma": 0.0, "k": 1.0}, {"gamma": 0.25, "k": 0.625}]}
 
 
-def _thm2_rays():
-    """15 directions of the (a, b, c) octant: 5 azimuths in the (a, c)
-    quarter plane at 3 elevations towards b, enough for the 9 quartic and 4
-    quadratic monomials."""
-    phi = (np.arange(5) + 0.5) * (np.pi / 10.0)
-    psi = np.array([0.0, np.pi / 6.0, np.pi / 3.0])[:, None]
-    rays = np.broadcast_arrays(np.cos(psi) * np.cos(phi), np.sin(psi),
-                               np.cos(psi) * np.sin(phi))
-    return np.stack(rays).reshape(3, -1)
+def _products(exps):
+    """Monomials of a quadratic form in variables with exponents exps: the
+    distinct sums exps[i] + exps[j], for each the first (i, j) giving it
+    (i <= j), and each (i, j)'s index among them."""
+    m, rows = len(exps), exps.tolist()
+    sums = [tuple(p + q for p, q in zip(a, b)) for a in rows for b in rows]
+    monomials = sorted(set(sums))
+    first = [sums.index(mono) for mono in monomials]
+    index = [monomials.index(mono) for mono in sums]
+    return np.array(monomials), np.divmod(first, m), np.reshape(index, (m, m))
 
 
-# (monomial exponents, segment directions, along) of each stratum, in the
-# variables of _poly_args.  The fit points lie
-# at free coordinates along(level) * dirs[:, i], level in [0, 1], on thm1's
-# lines (x, y) = level (t, 1 - t), the |H| = 0 stratum's tau = level and
-# thm2's rays in level = a^2 + b^2 + c^2.  On each segment |H|^2 is affine
-# in the level, and with alpha > 1/n, beta >= 0 and gamma >= 0 a nonempty
-# slice meets every segment.
-_FIT_PLANS = {
-    ("thm1", "full"): (np.array([(2 - i - j, i, j) for i in range(3) for j in range(3 - i)]),
-                       np.stack([np.linspace(0.0, 1.0, 4), 1.0 - np.linspace(0.0, 1.0, 4)]),
-                       lambda level: level),
-    ("thm1", "hzero"): (np.array([(i,) for i in range(3)]), np.ones((1, 1)),
-                        lambda level: level),
-    ("thm2", "full"): (np.array([((4 - i - 2 * j - k) // 2, i, j, k) for i in range(5)
-                                 for j in range(3) for k in range(5 - i - 2 * j)
-                                 if (i + k) % 2 == 0]),
-                       _thm2_rays(), np.sqrt),
-}
+def _monomial_values(monomials, fv):
+    """(point, monomial) values of monomials at fit variables fv."""
+    return np.prod(fv[None] ** monomials[:, :, None], axis=1).T
+
+
+def _fit_nodes(monomials, levels):
+    """One fit node per monomial, in fit variables: the variables of its
+    support at their levels and the rest at 0 (the first at half or twice
+    its level for the second and third monomial of a support).  A node
+    sees only the monomials inside its support, so, as in polarization,
+    each coefficient of the interpolant is fixed by the reaction on its
+    own variables and carries their roundoff: a least-squares fit over
+    spread nodes would spread the roundoff of the largest values over
+    every coefficient, and the slice multiplies the |H|^4 coefficient by
+    up to 1/(k - 1/2)^2."""
+    nodes, supports = [], []
+    for mono in monomials.tolist():
+        support = [e > 0 for e in mono]
+        node = [level if on else 0.0 for level, on in zip(levels, support)]
+        node[support.index(True)] *= (1.0, 0.5, 2.0)[supports.count(support)]
+        supports.append(support)
+        nodes.append(node)
+    return np.array(nodes).T
+
+
+_FIT_MONOMIALS = {key: _products(w) for key, w in _W.items()}
+_SLICE_MONOMIALS = {key: _products(z) for key, z in _Z.items()}
+# node levels of the fit variables: the realized h has entries 0, 1/2, 1
+# and 2 (and 2/n for |H|^2), so _reaction rounds little there
+_FIT_NODES = {"thm1": _fit_nodes(_FIT_MONOMIALS["thm1"][0], (1.0, 2.0, 2.0, 4.0)),
+              "thm2": _fit_nodes(_FIT_MONOMIALS["thm2"][0], (1.0, 1.0, 1.0, 1.0, 4.0))}
+
+
+def _multipliers(params):
+    """What multiplies each coefficient block of the fit."""
+    if params.variant == "thm1":
+        return np.array([1.0, params.alpha])
+    return np.array([1.0, params.gamma, params.k])
+
+
+def _realize(params, fv):
+    """(h, kbar) at fit variables fv."""
+    if params.variant == "thm1":
+        kb, x, y, hsq = fv
+        return thm1_config_h(params.n, x, y, hsq), kb
+    kb, a, b2, c, hsq = fv
+    return thm2_config_h(a, np.sqrt(b2), c, hsq), kb
+
+
+def _fit_reaction(params):
+    """(multiplier, monomial) coefficients of _reaction as a quadratic form
+    in w with coefficients affine in the cone constants (see _multipliers).
+
+    The fit interpolates _reaction at the fit nodes for each node constant,
+    as many node constants as multipliers.  Raises SlicePolynomialMismatch
+    unless it reproduces _reaction at FIT_CHECKS points of the Kronecker
+    sequence frac(i sqrt(p)), one prime p per fit variable, at the check
+    constant, to FIT_TOL times the reaction's size there, max(|reaction|,
+    (1 + |H|^2)^2).
+    """
+    monomials = _FIT_MONOMIALS[params.variant][0]
+    nodes = _FIT_NODES[params.variant]
+    *consts, check = (replace(params, delta=0.0, **const)
+                      for const in _FIT_CONSTANTS[params.variant])
+    h, kb = _realize(params, nodes)
+    # one polynomial per node constant, then the affine blocks from them
+    per_const = np.linalg.solve(_monomial_values(monomials, nodes),
+                                np.stack([_reaction(at, h, kb) for at in consts], 1))
+    coef = np.linalg.solve(np.stack([_multipliers(at) for at in consts]), per_const.T)
+    fv = np.modf(np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0][:len(nodes)])[:, None]
+                 * np.arange(1, FIT_CHECKS + 1))[0]
+    values = _reaction(check, *_realize(params, fv))
+    resid = float(np.max(np.abs(_monomial_values(monomials, fv)
+                                @ (_multipliers(check) @ coef) - values)))
+    # _reaction sums terms of size (1 + |H|^2)^2, which dwarf the reaction
+    # where it cancels
+    bound = FIT_TOL * float(np.max(np.maximum(np.abs(values), (1.0 + fv[-1]) ** 2)))
+    if not resid <= bound:   # a NaN fails too
+        raise SlicePolynomialMismatch(
+            "%s reaction: the polynomial misses _reaction by %.3e (bound %.3e)"
+            % (params.variant, resid, bound))
+    return coef
+
+
+def _substitution(params, stratum):
+    """The matrix S with w = S z on the Q = 0 slice of params (see
+    _slice_configs)."""
+    if stratum == "hzero":
+        s_tot = params.beta / (1.0 + params.beta)
+        return np.array([[1.0 / (1.0 + params.beta), 0.0], [0.0, s_tot],
+                         [s_tot, -s_tot], [0.0, 0.0]])
+    if params.variant == "thm1":
+        hsq = np.array([-params.beta, 1.0, 1.0]) / (params.alpha - 1.0 / params.n)
+    else:
+        hsq = (np.array([-params.epsilon, 2.0, 2.0, 2.0, 4.0 * params.gamma])
+               / (params.k - 0.5))
+    return np.vstack([np.eye(len(hsq)), hsq])
 
 
 def _poly_args(params, stratum, coords, cfg):
@@ -386,68 +481,22 @@ def _poly_args(params, stratum, coords, cfg):
     return cfg["kbar"], a, b * b, c
 
 
-def _fit_points(params, stratum):
-    """(d, m) free coordinates of the fit nodes, then of the check points:
-    every segment at FIT_LEVELS, then at CHECK_LEVELS, of its feasible
-    part (where |H|^2 >= 0)."""
-    _, dirs, along = _FIT_PLANS[params.variant, stratum]
-    ends = np.concatenate([0.0 * dirs, dirs], axis=1)   # level 0, then level 1
-    hsq = _slice_configs(params, stratum, tuple(ends))[1]["hsq"]
-    h0, h1 = hsq[:dirs.shape[1]], hsq[dirs.shape[1]:]
-    root = np.divide(h0, h0 - h1, out=np.zeros_like(h0), where=h0 != h1)  # |H|^2 = 0
-    lo = np.where(h0 >= 0.0, 0.0, root)
-    level = along(lo + (np.where(h1 >= 0.0, 1.0, root) - lo) * _LEVELS)
-    return (level * dirs[:, None, :]).reshape(len(dirs), -1)
-
-
-def _slice_polynomial(params, stratum):
+def _slice_polynomial(fit, params, stratum):
     """Nested Horner form (see _horner) of the reaction's polynomial on the
-    slice, fitted on first use and kept on params under its constants.
-
-    The coefficients are the least-squares fit of _reaction at the fit
-    nodes.  Raises SlicePolynomialMismatch unless the fit points lie on the
-    slice, the nodes determine every coefficient, and the polynomial
-    reproduces _reaction at the nodes and at the check points to FIT_TOL
-    times the reaction's size, max(|reaction|, (1 + |H|^2)^2) over the fit
-    points.
-    """
-    key = (stratum,) + tuple(getattr(params, f.name) for f in fields(params))
-    fits = vars(params).setdefault("_slice_polynomials", {})
-    if key in fits:
-        return fits[key]
-    monomials, dirs, _ = _FIT_PLANS[params.variant, stratum]
-    points = _fit_points(params, stratum)
-    ok, cfg = _slice_configs(params, stratum, tuple(points))
-    if not ok.all():
-        raise SlicePolynomialMismatch("%s %s slice: fit points off the slice"
-                                      % (params.variant, stratum))
-    values = _reaction(params, _config_h(params, cfg), cfg["kbar"])
-    args = np.stack(_poly_args(params, stratum, points, cfg))
-    powers = args[:, None, :] ** np.arange(5)[:, None]   # (variable, power, point)
-    basis = powers[np.arange(len(args)), monomials].prod(axis=1).T
-    nodes = len(FIT_LEVELS) * dirs.shape[1]
-    coef, _, rank, _ = np.linalg.lstsq(basis[:nodes], values[:nodes], rcond=None)
-    if rank < len(coef):
-        raise SlicePolynomialMismatch(
-            "%s %s slice: the fit nodes determine %d of %d coefficients"
-            % (params.variant, stratum, rank, len(coef)))
-    # _reaction sums terms of size (1 + |H|^2)^2 on the slice, which dwarf
-    # the reaction where it cancels: near k = 1/2 or alpha = 1/n, |H|^2 grows
-    # like 1/(k - 1/2) and the contractions round at 1e-16 of |H|^4
-    size = np.maximum(np.abs(values), (1.0 + cfg["hsq"]) ** 2)
-    bound = FIT_TOL * float(np.max(size))
-    resid = float(np.max(np.abs(basis @ coef - values)))
-    if not resid <= bound:   # a NaN fails too
-        raise SlicePolynomialMismatch(
-            "%s %s slice: the polynomial misses _reaction by %.3e (bound %.3e)"
-            % (params.variant, stratum, resid, bound))
+    Q = 0 slice of params: the fit at params' constants, with |H|^2
+    substituted."""
+    coef = _multipliers(params) @ fit
+    _, (i, j), _ = _FIT_MONOMIALS[params.variant]
+    s = _substitution(params, stratum)
+    monomials, _, index = _SLICE_MONOMIALS[params.variant, stratum]
+    pairs = np.einsum("m,mp,mq->pq", coef, s[i], s[j])
     nested = {}
-    for exps, cf in zip(monomials.tolist(), coef.tolist()):
+    for exps, cf in zip(monomials.tolist(),
+                        np.bincount(index.ravel(), pairs.ravel()).tolist()):
         node = nested
         for e in exps[:-1]:
             node = node.setdefault(e, {})
         node[exps[-1]] = cf
-    fits[key] = nested
     return nested
 
 
@@ -467,21 +516,23 @@ def _horner(poly, xs):
     return acc
 
 
-def _eval_configs(params, stratum, coords):
+def _eval_configs(params, stratum, coords, poly=None):
     """Reaction on explicit free coordinates; infeasible entries -> -inf.
 
-    The feasibility mask comes first; the reaction is the slice polynomial,
-    evaluated by Horner's rule (a chunk without a feasible entry needs no
-    fit).  The thm2 printed-R3 route is the reaction less its pinned gap
-    4 gamma |Kperp| b^2, with |Kperp| = 2ac on the slice.  Returns
+    The feasibility mask comes first; the reaction is the slice polynomial
+    poly of params (see _slice_polynomial; without it the call fits its
+    own, unless no entry is feasible), evaluated by Horner's rule.  The
+    thm2 printed-R3 route is the reaction less its pinned gap 4 gamma
+    |Kperp| b^2, with |Kperp| = 2ac on the slice.  Returns
     (values, printed_values, feasible_mask, config_arrays) where
     config_arrays are the slice coordinates needed to rebuild the point;
     they are meaningful at feasible entries only.
     """
     ok, cfg = _slice_configs(params, stratum, coords)
     if ok.any():
-        vals = np.where(ok, _horner(_slice_polynomial(params, stratum),
-                                    _poly_args(params, stratum, coords, cfg)), -np.inf)
+        if poly is None:
+            poly = _slice_polynomial(_fit_reaction(params), params, stratum)
+        vals = np.where(ok, _horner(poly, _poly_args(params, stratum, coords, cfg)), -np.inf)
     else:
         vals = np.full(ok.shape, -np.inf)
     if params.variant == "thm1":
@@ -555,13 +606,14 @@ def _first_max(coords, evaluated):
             [at(co) for co in coords])
 
 
-def _run_base_sweep(params, stratum, res, chunk):
+def _run_base_sweep(params, stratum, res, chunk, poly):
     """(sup, argmax config, feasible samples, printed sup, argmax free
-    coordinates) over the base lattice, a chunk of configurations at a time."""
+    coordinates) of slice polynomial poly over the base lattice, a chunk of
+    configurations at a time."""
     best, best_cfg, samples, printed_sup, best_coords = -np.inf, None, 0, -np.inf, None
     for lo, hi in _chunk_ranges(params, stratum, res, chunk):  # the first max wins
         coords = _lattice_chunk(params, stratum, res, lo, hi)
-        evaluated = _eval_configs(params, stratum, coords)
+        evaluated = _eval_configs(params, stratum, coords, poly)
         val, cfg, count, printed, at = _first_max(coords, evaluated)
         samples += count
         printed_sup = max(printed_sup, printed)
@@ -570,7 +622,7 @@ def _run_base_sweep(params, stratum, res, chunk):
     return best, best_cfg, samples, printed_sup, best_coords
 
 
-def _refine(params, grid, best, best_cfg, center):
+def _refine(params, grid, best, best_cfg, center, poly):
     """Local lattice refinement around the incumbent, whose free coordinates
     are center; monotone in sup."""
     spacing = 1.0 / grid.resolution
@@ -580,7 +632,7 @@ def _refine(params, grid, best, best_cfg, center):
                 for co in center]
         coords = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
         val, cfg, count, _, at = _first_max(coords,
-                                            _eval_configs(params, grid.stratum, coords))
+                                            _eval_configs(params, grid.stratum, coords, poly))
         extra += count
         if val > best:
             best, best_cfg, center = val, cfg, at
@@ -588,14 +640,14 @@ def _refine(params, grid, best, best_cfg, center):
     return best, best_cfg, extra
 
 
-def _sup_at(params, resolution, stratum, chunk):
+def _sup_at(params, resolution, stratum, chunk, poly):
     """(sup, argmax config) of one base-lattice pass."""
-    return _run_base_sweep(params, stratum, resolution, chunk)[:2]
+    return _run_base_sweep(params, stratum, resolution, chunk, poly)[:2]
 
 
 def _sign_tol(sup, cfg):
     """The "sup is positive" threshold at argmax config cfg: SUP_SIGN_TOL, or
-    FIT_TOL times the reaction's size there (see _slice_polynomial)."""
+    FIT_TOL times the reaction's size there (see _fit_reaction)."""
     return max(SUP_SIGN_TOL, FIT_TOL * max(abs(sup), (1.0 + cfg["hsq"]) ** 2))
 
 
@@ -620,16 +672,18 @@ def _scan_range(params, stratum):
     return np.linspace(1.0 / n + 0.05 * span, 1.0 / n + 2.0 * span, 21)
 
 
-def _critical_constant(params, grid):
+def _critical_constant(params, grid, fit):
     """Scan the cone constant, bracket every sign change of the sweep sup,
-    and bisect the first bracket down to BRACKET_WIDTH."""
+    and bisect the first bracket down to BRACKET_WIDTH, each constant's
+    slice polynomial from the reaction fit."""
     stratum = grid.stratum
     res = min(grid.resolution, CRITICAL_MAX_RES)
     values = _scan_range(params, stratum)
     notes = []
 
     def positive(cv):
-        sup, cfg = _sup_at(_with_constant(params, stratum, float(cv)), res, stratum, grid.chunk)
+        at = _with_constant(params, stratum, float(cv))
+        sup, cfg = _sup_at(at, res, stratum, grid.chunk, _slice_polynomial(fit, at, stratum))
         return cfg is not None and sup > _sign_tol(sup, cfg)
 
     flags = [positive(cv) for cv in values]
@@ -661,9 +715,10 @@ def reaction_sweep(params: ConeParams, grid: SweepGrid | None = None) -> SweepRe
     params.kbar is ignored: the background curvature is a slice coordinate
     under the homogeneity normalization.  The reported sup_value is the
     scalar re-evaluation of the argmax through reaction_of_Q, so the report
-    is reproducible from its own argmax record.  The lattice passes evaluate
-    the slice polynomial of each cone constant they visit, and raise
-    SlicePolynomialMismatch if its fit misses _reaction.
+    is reproducible from its own argmax record.  The reaction is fitted
+    once, raising SlicePolynomialMismatch if the fit misses _reaction, and
+    the lattice passes evaluate the slice polynomial of each cone constant
+    they visit.
     """
     if grid is None:
         grid = SweepGrid()
@@ -676,13 +731,15 @@ def reaction_sweep(params: ConeParams, grid: SweepGrid | None = None) -> SweepRe
     if params.variant == "thm2" and abs(params.k - 0.5) < 1e-12:
         raise BadParams("at k = 1/2 |H|^2 drops out of Q, so Q = 0 does not fix it")
 
+    fit = _fit_reaction(params)
+    poly = _slice_polynomial(fit, params, grid.stratum)
     best, best_cfg, samples, printed_sup, center = _run_base_sweep(
-        params, grid.stratum, grid.resolution, grid.chunk)
+        params, grid.stratum, grid.resolution, grid.chunk, poly)
     base_best = best
     if best_cfg is None:
         raise EmptyFeasibleSet("no feasible configuration on the Q = 0 slice")
     if grid.refine_rounds > 0:
-        best, best_cfg, extra = _refine(params, grid, best, best_cfg, center)
+        best, best_cfg, extra = _refine(params, grid, best, best_cfg, center, poly)
         samples += extra
 
     h, p_at = realize_argmax(params, best_cfg)
@@ -700,7 +757,7 @@ def reaction_sweep(params: ConeParams, grid: SweepGrid | None = None) -> SweepRe
 
     critical = width = None
     if grid.bisect:
-        critical, width, extra_notes = _critical_constant(params, grid)
+        critical, width, extra_notes = _critical_constant(params, grid, fit)
         notes.extend(extra_notes)
 
     return SweepReport(

@@ -11,10 +11,10 @@ from pinchflow.canonical import make_surface, perturb, sample_grid
 from pinchflow.errors import DegenerateJet, Extinct
 from pinchflow.flow import (CSV_HEADER, FILTER_FRACTION, FLAT_SPAN, RKL2_ACCURACY,
                             RKL2_MAX_STAGES, RKL2_SAFETY, SCHEMES, SHRINK_MIN_RECORDS,
-                            FlowConfig, FlowState, MonitorRecord, _flat_for_span,
-                            _lean_velocity, _refresh_poles, _stop, _verdict, _zonal_mask,
-                            mcf_velocity, monitor, read_snapshot, run,
-                            sphere_extinction_time, sphere_ode_oracle, step,
+                            SNAPSHOT_VERSION, FlowConfig, FlowState, MonitorRecord,
+                            _flat_for_span, _lean_velocity, _refresh_poles, _stop,
+                            _verdict, _zonal_mask, mcf_velocity, monitor, read_snapshot,
+                            run, sphere_extinction_time, sphere_ode_oracle, step,
                             write_monitor_csv, write_snapshot)
 from pinchflow.grids import _d1, _d2, _stencil_index, batch_jets
 from pinchflow.pinching import ConeParams
@@ -377,6 +377,33 @@ def test_snapshot_roundtrip_bytes(tmp_path):
     assert np.array_equal(back.samples, grid.samples)
     write_snapshot(back, p2, 0.125)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _point_by_point_snapshot(surface, path, t):
+    """The snapshot writer that formatted one numpy scalar at a time, kept
+    as a test-only reference for the file format."""
+    with open(path, "w") as fh:
+        fh.write("# pinchflow-snapshot v%d topology=%s nu=%d nv=%d t=%s\n"
+                 % (SNAPSHOT_VERSION, surface.topology, surface.nu, surface.nv,
+                    repr(float(t))))
+        for i in range(surface.nu):
+            for j in range(surface.nv):
+                coords = " ".join(repr(float(x)) for x in surface.samples[:, i, j])
+                fh.write("%d %d %s\n" % (i, j, coords))
+
+
+def test_snapshot_matches_point_by_point_writer(tmp_path):
+    """A perturbed Veronese grid (5 ambient coordinates, nu != nv, last-bit
+    values everywhere) writes the bytes of the point-by-point writer, and
+    reads back to the same samples."""
+    grid = perturb(make_surface("veronese"), (3, 2), 0.02, 12, 20, 1)
+    p1, p2 = tmp_path / "new.txt", tmp_path / "old.txt"
+    write_snapshot(grid, p1, 0.0625)
+    _point_by_point_snapshot(grid, p2, 0.0625)
+    assert p1.read_bytes() == p2.read_bytes()
+    back = read_snapshot(p1)
+    assert (back.topology, back.nu, back.nv) == (grid.topology, 12, 20)
+    assert np.array_equal(back.samples, grid.samples)
 
 
 # ---------------------------------------------------------------------------

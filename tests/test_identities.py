@@ -371,6 +371,19 @@ def test_kperp_checks_rejects_wrong_dims():
     assert rt.r1 == 0.0
 
 
+def test_verify_contractions_are_shared_bit_for_bit():
+    """verify reads the norms and Kperp from kperp_checks and hands its
+    rm_perp_squared to z_brute_batch instead of contracting h again; the
+    shared values are the kernels' own, bit for bit."""
+    h = np.random.default_rng(11).normal(size=(2, 2, 2, 50))
+    h = h + h.transpose(1, 0, 2, 3)
+    chk = kperp_checks(h)
+    for got, ref in zip(chk.norms, norms_batch(h)):
+        assert np.array_equal(got, ref)
+    assert np.array_equal(chk.kperp, kperp_scalar(h))
+    assert np.array_equal(z_brute_batch(h, rm_perp_squared(h)), z_brute_batch(h))
+
+
 # --- gradient margins on discrete fields -----------------------------------
 
 def margins_of(grid):

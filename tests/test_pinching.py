@@ -446,10 +446,67 @@ def test_reaction_off_the_polynomial_exits_3(monkeypatch, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def _contraction_eval_configs(params, stratum, coords):
+FIT_CASES = {
+    **{"thm1_n%d" % n: ConeParams("thm1", n=n) for n in range(2, 7)},
+    **{"thm2_k%s" % k: ConeParams("thm2", k=k) for k in (0.52, 0.7499)},
+    **{"thm2_k%s_gamma" % k: ConeParams("thm2", k=k, gamma=0.4) for k in (0.52, 0.7499)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIT_CASES))
+def test_fitted_polynomial_matches_reaction(case):
+    """The reaction fit against _reaction at 2000 seeded points that are not
+    fit nodes: kbar, the slice coordinates and |H|^2 up to 50 drawn at
+    random, and 5 random cone constants (alpha in (1/n, 2), or k with
+    gamma by its rule or at random), to 1e-12 of the reaction's size."""
+    params = FIT_CASES[case]
+    rng = np.random.default_rng(2026)
+    fit = pinching._fit_reaction(params)
+    monomials = pinching._FIT_MONOMIALS[params.variant][0]
+    for _ in range(5):
+        if params.variant == "thm1":
+            at = replace(params, alpha=1.0 / params.n + rng.uniform(1e-3, 2.0 - 1.0 / params.n))
+        elif case.endswith("gamma"):
+            at = replace(params, k=rng.uniform(0.52, 0.7499), gamma=rng.uniform(0.0, 1.0))
+        else:
+            at = replace(params, k=rng.uniform(0.52, 0.7499), gamma=None, epsilon=None)
+        fv = rng.random((len(monomials[0]), 2000))
+        fv[-1] *= 50.0
+        ref = _reaction(at, *pinching._realize(at, fv))
+        got = pinching._monomial_values(monomials, fv) @ (pinching._multipliers(at) @ fit)
+        size = np.maximum(np.abs(ref), (1.0 + fv[-1]) ** 2)
+        assert np.max(np.abs(got - ref) / size) <= 1e-12
+
+
+@pytest.mark.parametrize("params,stratum", [
+    (ConeParams("thm1", n=2), "full"), (ConeParams("thm1", n=2, beta=1.0), "hzero"),
+    (ConeParams("thm2"), "full")], ids=["thm1", "hzero", "thm2"])
+def test_bisected_sweep_fits_once(monkeypatch, params, stratum):
+    """A bisected sweep fits the reaction once: its 33 or 29 lattice passes
+    substitute their constant into that fit, and _reaction runs only for the
+    fit and the argmax recheck."""
+    counts = {"fits": 0, "reactions": 0}
+    fit, reaction = pinching._fit_reaction, pinching._reaction
+
+    def counting(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(pinching, "_fit_reaction", counting("fits", fit))
+    monkeypatch.setattr(pinching, "_reaction", counting("reactions", reaction))
+    rep = reaction_sweep(params, SweepGrid(resolution=8, refine_rounds=0, stratum=stratum))
+    assert rep.critical_constant is not None
+    assert counts == {"fits": 1,
+                      "reactions": len(pinching._FIT_CONSTANTS[params.variant]) + 1}
+
+
+def _contraction_eval_configs(params, stratum, coords, poly=None):
     """The lattice evaluation the slice polynomial replaced, kept as a
     test-only oracle: the reaction from the identities contractions on the
-    realized h of every feasible entry."""
+    realized h of every feasible entry.  The sweep's slice polynomial poly
+    goes unused."""
     ok, cfg = _slice_configs(params, stratum, coords)
     cfg = dict(zip(cfg, np.broadcast_arrays(*cfg.values())))
     at = {key: v[ok] for key, v in cfg.items()}
