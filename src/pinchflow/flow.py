@@ -9,12 +9,15 @@ removes longitudinal modes finer than the local physical resolution (the
 usual cure for the pole clustering of such grids).  Every stage of every
 scheme goes through the same restabilization, _restabilize.
 
-Three schemes share the Euler step dt_E = cfl * h^2 / max(1, a2_max):
-euler takes it, rk2 takes it with a midpoint stage, and rkl2 (the default)
-takes one Runge-Kutta-Legendre super-step of s <= RKL2_MAX_STAGES stages
-(Meyer, Balsara & Aslam, J. Comput. Phys. 257, 2014), whose stability
-interval grows like s^2 while its cost grows like s.  Every scheme shortens
-its last step so that the flow lands on t_max.  A step counts its velocity
+euler takes the Euler step dt_E = cfl * h^2 / max(1, a2_max), rk2 takes it
+with a midpoint stage, and rkl2 (the default) takes one Runge-Kutta-Legendre
+super-step of s <= RKL2_MAX_STAGES stages (Meyer, Balsara & Aslam, J.
+Comput. Phys. 257, 2014), whose stability interval grows like s^2 while its
+cost grows like s.  rkl2 sizes it from a frozen-coefficient bound on the
+spectral radius of the linearized velocity (_stability_bound), not from
+dt_E; there cfl scales the share of the stable length a super-step reaches,
+and a cfl that would pass it is refused.  Every scheme shortens its last
+step so that the flow lands on t_max.  A step counts its velocity
 evaluations (1, 2 and s), and run takes a monitor record after each step
 that crosses a multiple of the stride in that count.  After each record run
 asks _stop whether the outcome is decided: the round-point fit over the
@@ -27,10 +30,13 @@ Everything from the grid samples to the monitor record is component-major,
 the small axes first and the grid axes last, so stencils, dot products, FFTs
 and frame contractions run over whole grid planes; an Euler stage copies the
 samples once and updates that copy in place, and an RKL2 stage builds its
-combination of earlier stages as one new array.  The tables that depend only on the
-grid shape (the stencil gather and the zonal mode mask) are built once per
-shape.  run evaluates each surface's jets once and hands the same tuple to
-monitor and to the next step.
+combination of earlier stages as one new array.  The tables that depend
+only on the grid shape (the stencil gather, the zonal mode mask and its
+symbols) are built once per shape.  run evaluates each surface's jets once
+and hands the same tuple to monitor and to the next step.  It steps only the
+ambient coordinates that are not 0.0 on every sample, as a coordinate that
+is 0.0 everywhere stays 0.0 under every stage (a surface in S^3 x {0} never
+leaves it), and puts the zeros back for each record and the final state.
 """
 
 from __future__ import annotations
@@ -60,12 +66,28 @@ FLAT_SPAN = 0.1             # flow time a2_max stays flat for ApproachTotallyGeo
 DECIDED_TOL = 1e-3          # relative change of the fitted extinction time that ends a run
 RADIUS_AXIS = 3             # ambient axis of a geodesic sphere's radius trajectory
 SCHEMES = ("euler", "rk2", "rkl2")
+DEFAULT_CFL = 0.2           # FlowConfig.cfl; rkl2 reaches RKL2_SAFETY of its bound at it
+# Peak |symbol| (times h^2, resp. h) of grids' 4th-order stencils: the second
+# difference (-1, 16, -30, 16, -1) / 12 at phase pi, and the first difference
+# (1, -8, 0, 8, -1) / 12, sin(th) (4 - cos th) / 3, at cos th = 1 - sqrt(3/2).
+SIGMA2 = 16.0 / 3.0
+_COS1 = 1.0 - math.sqrt(1.5)
+SIGMA1 = math.sqrt(1.0 - _COS1 * _COS1) * (4.0 - _COS1) / 3.0
+NYQUIST_MOMENT = 5.0 / 3.0  # |sum_m c_m (-1)^m m| over the first difference's weights c_m
 # RKL2 super-step rules.  The s-stage recurrence is stable for steps up to
-# dt_E (s^2 + s - 2) / 4, but the per-stage projection (pole refresh,
-# renormalization, zonal filter) lies outside that linear analysis: on the
-# criterion-6 flow s = 12 at the full bound blew up and s = 16 at 0.6 of it
-# lost the extinction estimate, while s <= 12 at 0.7 of it passes.
-RKL2_MAX_STAGES = 12
+# (2 / lambda) (s^2 + s - 2) / 4, lambda the spectral radius of the
+# linearized velocity.  _stability_bound bounds lambda; Arnoldi iteration on
+# the linearized velocity (tests/test_flow.py) measures it at 1/1.15 of the
+# bound on the 32 x 64 rho = pi/3 sphere, at t = 0 and after 20 super-steps,
+# at 1/1.006 on the 40 x 40 flat torus and at 1/1.20 on the 32 x 64 Veronese
+# grid.  RKL2_SAFETY leaves room for lambda's growth within a super-step and
+# for the per-stage projection, which the linear analysis omits: at the full
+# bound the 32 x 64 and 64 x 128 spheres still ran to the end of their
+# resolution with caps 16 to 32.  RKL2_MAX_STAGES trades evaluations for
+# the accuracy of long super-steps: on criterion 6's 64 x 128 sphere caps
+# 16, 20 and 24 take 800, 714 and 656 evaluations, with radius errors 2.2e-4,
+# 5.1e-4 and 8.3e-4 (1.0e-4 under the old plan, 1260 evaluations).
+RKL2_MAX_STAGES = 20
 RKL2_SAFETY = 0.7
 # Accuracy cap tau <= RKL2_ACCURACY / max(1, a2_max): |A|^2 sets the rate at
 # which curvature changes, so this bounds the change of one super-step.
@@ -112,7 +134,7 @@ CSV_HEADER = ",".join(f.name for f in CSV_FIELDS)
 @dataclass
 class FlowConfig:
     scheme: str = "rkl2"             # one of SCHEMES
-    cfl: float = 0.2
+    cfl: float = DEFAULT_CFL         # step size; see step and _rkl2_fraction
     t_max: float = 1.0
     ceiling: float = 1e6             # a2_max that stops a run
     flat_threshold: float = 1e-4     # a2_max of ApproachTotallyGeodesic
@@ -131,6 +153,9 @@ class FlowConfig:
                 raise BadParams("%s must be finite" % name)
         if self.cfl <= 0 or self.t_max <= 0 or self.stride < 1:
             raise BadParams("cfl and t_max must be positive and stride at least 1")
+        if self.scheme == "rkl2" and _rkl2_fraction(self.cfl) > 1.0:
+            raise BadParams("rkl2 at cfl %r steps past its stability bound: cfl must be "
+                            "at most %.6g" % (self.cfl, DEFAULT_CFL / RKL2_SAFETY))
         if not (math.isfinite(self.kbar) and self.kbar > 0):
             # the monitor divides the metric by kbar and rescales by sqrt(kbar)
             raise BadParams("kbar must be a finite positive number")
@@ -161,7 +186,7 @@ class FlowResult:
 # velocity
 
 def _lean_velocity(pos, first, second):
-    """(H_S vector, |A|^2) without constructing normal frames.
+    """(H_S vector, |A|^2, (g^uu, g^uv, g^vv)) without constructing normal frames.
 
     Takes component-major jets as batch_jets returns them: pos (d, ...),
     first (2, d, ...), second (2, 2, d, ...); velocity (d, ...).  H_S is the
@@ -195,12 +220,12 @@ def _lean_velocity(pos, first, second):
     a2 = (ga * ga * dot(nuu, nuu) + 2.0 * (ga * gc + gb * gb) * dot(nuv, nuv)
           + gc * gc * dot(nvv, nvv) + 4.0 * ga * gb * dot(nuu, nuv)
           + 2.0 * gb * gb * dot(nuu, nvv) + 4.0 * gb * gc * dot(nuv, nvv))
-    return vel, a2
+    return vel, a2, (ga, gb, gc)
 
 
 def mcf_velocity(surface: GridSurface) -> np.ndarray:
     """Mean curvature vector field within the sphere, zero on pole rows."""
-    vel, _ = _lean_velocity(*batch_jets(surface))
+    vel = _lean_velocity(*batch_jets(surface))[0]
     out = np.zeros_like(surface.samples)
     out[:, surface.valid_rows] = vel
     return out
@@ -269,13 +294,55 @@ def _advance(surface: GridSurface, vel_valid: np.ndarray, dt: float) -> GridSurf
 
 
 def _checked_velocity(jets, ceiling: float, t: float):
-    """(velocity, a2_max) of one surface's jets; BlowupDetected past ceiling."""
-    vel, a2 = _lean_velocity(*jets)
+    """(velocity, a2_max, inverse metric) of one surface's jets;
+    BlowupDetected past ceiling."""
+    vel, a2, inverse = _lean_velocity(*jets)
     a2max = float(a2.max())
     if not math.isfinite(a2max) or a2max > ceiling:
         raise BlowupDetected("a2_max = %.6e beyond ceiling %.3e at t = %.8f"
                              % (a2max, ceiling, t))
-    return vel, a2max
+    return vel, a2max, inverse
+
+
+@lru_cache(maxsize=32)
+def _v_symbol(topology: str, nu: int, nv: int):
+    """Peak |symbol| of the v second difference on the jet rows, times dv^2:
+    SIGMA2 on a torus; on a sphere grid, per row (a read-only (nu - 2, 1)
+    array), the symbol (30 - 32 cos th + 2 cos 2th) / 12 of the highest mode
+    _zonal_mask keeps there, as the filter removes the finer ones each stage."""
+    if topology == "torus":
+        return SIGMA2
+    top = _zonal_mask(nu, nv)[1:-1].sum(axis=1) - 1     # the mask keeps modes 0 .. top
+    theta = top[:, None] * (2.0 * np.pi / nv)
+    sym = (30.0 - 32.0 * np.cos(theta) + 2.0 * np.cos(2.0 * theta)) / 12.0
+    sym.flags.writeable = False
+    return sym
+
+
+def _stability_bound(surface: GridSurface, inverse, a2max: float) -> float:
+    """Frozen-coefficient (von Neumann) bound on the spectral radius of the
+    linearized velocity, from the inverse metric (g^uu, g^uv, g^vv).
+
+    The principal part g^{ab} D_ab of batch_jets' stencils gives the max over
+    points of g^uu SIGMA2 / du^2 + g^vv sigma2(row) / dv^2
+    + 2 |g^uv| SIGMA1^2 / (du dv), sigma2(row) from _v_symbol.  At the
+    highest grid mode a first difference of a turning normal N reads
+    NYQUIST_MOMENT |dN| rather than 0, so the metric's response adds up to
+    2 NYQUIST_MOMENT |A|^2: on a flat torus the spectral radius exceeds the
+    principal part by (5/3) |A|^2 - 2.
+    """
+    ga, gb, gc = inverse
+    du, dv = surface.du, surface.dv
+    v_sym = _v_symbol(surface.topology, surface.nu, surface.nv)
+    lam = (ga * (SIGMA2 / (du * du)) + gc * (v_sym / (dv * dv))
+           + np.abs(gb) * (2.0 * SIGMA1 * SIGMA1 / (du * dv)))
+    return float(lam.max()) + 2.0 * NYQUIST_MOMENT * a2max
+
+
+def _rkl2_fraction(cfl: float) -> float:
+    """Share of the stable length an rkl2 super-step may reach: RKL2_SAFETY
+    at the default cfl, in proportion to cfl."""
+    return RKL2_SAFETY * (cfl / DEFAULT_CFL)
 
 
 def _rkl2_coefficients(s: int):
@@ -299,12 +366,14 @@ def _rkl2_coefficients(s: int):
     return mu, nu, rest, mut, gamt
 
 
-def _rkl2_plan(dt_euler: float, a2max: float, remaining: float):
-    """(tau, s) of one RKL2 super-step: the fewest stages whose safe reach
-    covers the accuracy target, capped at RKL2_MAX_STAGES."""
+def _rkl2_plan(bound: float, a2max: float, remaining: float, fraction: float):
+    """(tau, s) of one RKL2 super-step: the fewest stages whose reach,
+    fraction of the stable length (2 / bound) (s^2 + s - 2) / 4, covers the
+    accuracy target, capped at RKL2_MAX_STAGES."""
     target = min(RKL2_ACCURACY / max(1.0, a2max), remaining)
+    unit = fraction * (2.0 / bound)
     for s in range(2, RKL2_MAX_STAGES + 1):
-        reach = RKL2_SAFETY * dt_euler * (s * s + s - 2.0) / 4.0
+        reach = unit * (s * s + s - 2.0) / 4.0
         if reach >= target:
             break
     return min(target, reach), s
@@ -318,7 +387,7 @@ def _rkl2(surf: GridSurface, vel0: np.ndarray, tau: float, s: int,
     rows = surf.valid_rows
     prev2, prev = surf, _advance(surf, vel0, mut[1] * tau)
     for j in range(2, s + 1):
-        vel, _ = _checked_velocity(batch_jets(prev), ceiling, t)
+        vel = _checked_velocity(batch_jets(prev), ceiling, t)[0]
         samples = mu[j] * prev.samples + nu[j] * prev2.samples + rest[j] * surf.samples
         samples[:, rows] += (mut[j] * tau) * vel + (gamt[j] * tau) * vel0
         prev2, prev = prev, _restabilize(surf, samples)
@@ -326,14 +395,14 @@ def _rkl2(surf: GridSurface, vel0: np.ndarray, tau: float, s: int,
 
 
 def step(state: FlowState, jets, cfg: FlowConfig) -> FlowState:
-    """One step of cfg.scheme from the Euler step dt_E = cfl * (min
-    spacing)^2 / max(1, a2_max), shortened to land on t_max.
+    """One step of cfg.scheme, shortened to land on t_max.
 
-    jets is batch_jets(state.surface).  euler and rk2 step by dt_E; rkl2
-    takes one super-step sized by _rkl2_plan.
+    jets is batch_jets(state.surface).  euler and rk2 step by the Euler
+    step dt_E = cfl * (min spacing)^2 / max(1, a2_max); rkl2 takes one
+    super-step sized by _rkl2_plan from _stability_bound.
     """
     surf, ceiling = state.surface, cfg.ceiling
-    vel, a2max = _checked_velocity(jets, ceiling, state.t)
+    vel, a2max, inverse = _checked_velocity(jets, ceiling, state.t)
     dt = cfg.cfl * min(surf.du, surf.dv) ** 2 / max(1.0, a2max)
     remaining = cfg.t_max - state.t
     if cfg.scheme == "euler":
@@ -342,10 +411,11 @@ def step(state: FlowState, jets, cfg: FlowConfig) -> FlowState:
     elif cfg.scheme == "rk2":
         dt, evals = min(dt, remaining), 2
         mid = _advance(surf, vel, 0.5 * dt)
-        vel2, _ = _checked_velocity(batch_jets(mid), ceiling, state.t)
+        vel2 = _checked_velocity(batch_jets(mid), ceiling, state.t)[0]
         new = _advance(surf, vel2, dt)
     else:
-        dt, evals = _rkl2_plan(dt, a2max, remaining)
+        dt, evals = _rkl2_plan(_stability_bound(surf, inverse, a2max), a2max, remaining,
+                               _rkl2_fraction(cfg.cfl))
         new = _rkl2(surf, vel, dt, evals, ceiling, state.t)
     t = cfg.t_max if dt >= remaining else state.t + dt
     return FlowState(t=t, step_index=state.step_index + 1, surface=new, dt_last=dt,
@@ -482,6 +552,21 @@ def monitor(surface: GridSurface, jets, cfg: FlowConfig, t: float) -> MonitorRec
 # ---------------------------------------------------------------------------
 # driver
 
+def _occupied(samples: np.ndarray) -> np.ndarray:
+    """Indices of the ambient coordinates that are not 0.0 on every sample."""
+    return np.flatnonzero((samples != 0.0).any(axis=(1, 2)))
+
+
+def _embed(x: np.ndarray, occupied: np.ndarray, dim: int) -> np.ndarray:
+    """x (..., len(occupied), nu, nv) on the occupied ambient coordinates,
+    with 0.0 put back at the others: (..., dim, nu, nv)."""
+    if len(occupied) == dim:
+        return x
+    out = np.zeros(x.shape[:-3] + (dim,) + x.shape[-2:])
+    out[..., occupied, :, :] = x
+    return out
+
+
 def _mean_radius(surface: GridSurface, axis: int) -> float:
     dots = surface.samples[axis, surface.valid_rows]
     return float(np.mean(np.arccos(np.clip(dots, -1.0, 1.0))))
@@ -560,24 +645,30 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
     """
     cfg = config or FlowConfig()
     axis = RADIUS_AXIS if surface.meta.get("kind") == "geodesic-sphere" else None
-    state = FlowState(t=0.0, step_index=0, surface=surface, dt_last=0.0)
+    # coordinates that are 0.0 everywhere stay 0.0 under every stage, so the
+    # steps run on the others and each record puts the zeros back
+    dim, occupied = len(surface.samples), _occupied(surface.samples)
+    state = FlowState(t=0.0, step_index=0, surface=surface.copy_with(surface.samples[occupied]),
+                      dt_last=0.0)
     records, radius, notes = [], [], []
 
     def observe(jets, failure=None):
         """Record state's surface from its jets.  If the monitor fails, note
         failure % the error and return False; with no failure text, raise."""
+        full = state.surface.copy_with(_embed(state.surface.samples, occupied, dim))
         try:
-            records.append(monitor(state.surface, jets, cfg, state.t))
+            records.append(monitor(full, tuple(_embed(x, occupied, dim) for x in jets),
+                                   cfg, state.t))
         except (DegenerateJet, OffSphere) as exc:
             if failure is None:
                 raise
             notes.append(failure % exc)
             return False
         if axis is not None:
-            radius.append((state.t, _mean_radius(state.surface, axis)))
+            radius.append((state.t, _mean_radius(full, axis)))
         return True
 
-    jets, stop = batch_jets(surface), None
+    jets, stop = batch_jets(state.surface), None
     observe(jets)
     while True:
         if state.t >= cfg.t_max:
@@ -611,6 +702,7 @@ def run(surface: GridSurface, config: FlowConfig | None = None) -> FlowResult:
     # verdict (a note from _stop) is an early stop wherever it falls
     early = bool(stop) or (state.t < cfg.t_max and state.step_index < MAX_STEPS)
     outcome, extinction = _verdict(records, cfg, early)
+    state.surface = state.surface.copy_with(_embed(state.surface.samples, occupied, dim))
     return FlowResult(outcome=outcome, records=records, final_state=state,
                       extinction_time=extinction, radius_trajectory=radius, notes=notes,
                       config=cfg)

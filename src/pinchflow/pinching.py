@@ -745,7 +745,8 @@ def reaction_sweep(params: ConeParams, grid: SweepGrid | None = None) -> SweepRe
     h, p_at = realize_argmax(params, best_cfg)
     sup = float(reaction_of_Q(h, p_at))
     notes = []
-    if abs(sup - best) > 1e-10 * max(1.0, abs(best)):
+    # a move within the sign test's tolerance is roundoff of the reaction's terms
+    if abs(sup - best) > _sign_tol(sup, best_cfg):
         notes.append("argmax recheck moved sup from %.15e to %.15e" % (best, sup))
 
     claim = ("sup <= 0 (negativity claim holds on this slice)" if sup <= _sign_tol(sup, best_cfg)

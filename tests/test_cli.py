@@ -357,6 +357,14 @@ def test_options_that_would_be_ignored_exit_2(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("*.json"))
 
 
+def test_rkl2_cfl_past_its_stability_bound_exits_2(tmp_path, capsys):
+    """At cfl 10 rkl2's super-steps would reach 35 times the stability bound:
+    the flow is refused before its first step and writes nothing."""
+    assert main(TINY_FLOW + ["--cfl", "10", "--output-dir", str(tmp_path)]) == 2
+    assert "stability bound" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv,name", [
     (SMALL_SWEEP + ["--alpha", "inf"], "alpha"),
     (SMALL_SWEEP + ["--beta", "nan"], "beta"),

@@ -357,6 +357,22 @@ def test_sweep_sign_is_relative_to_the_reaction_size():
     assert any("negativity claim holds" in note for note in rep.notes)
 
 
+def test_argmax_recheck_note_uses_the_sign_test_scale(monkeypatch):
+    """The recheck at the argmax (|H|^2 = 2e5) differs from the polynomial's
+    max by roundoff of terms of size 4e10: no move is noted.  An offset past
+    the sign test's tolerance is still reported."""
+    params = ConeParams("thm2", k=0.50001)
+    grid = SweepGrid(resolution=16, bisect=False)
+    rep = reaction_sweep(params, grid)
+    assert not any("argmax recheck moved" in note for note in rep.notes)
+    tol = 1e-12 * (1.0 + rep.argmax["hsq"]) ** 2
+    monkeypatch.setattr(pinching, "reaction_of_Q",
+                        lambda h, p: reaction_of_Q(h, p) + 10.0 * tol)
+    moved = reaction_sweep(params, grid)
+    assert moved.sup_value == rep.sup_value + 10.0 * tol
+    assert any(note.startswith("argmax recheck moved sup") for note in moved.notes)
+
+
 @pytest.mark.parametrize("params", [ConeParams("thm1", n=2), ConeParams("thm1", n=3),
                                     ConeParams("thm1", n=4), ConeParams("thm2")],
                          ids=["thm1_n2", "thm1_n3", "thm1_n4", "thm2"])
