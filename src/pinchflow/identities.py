@@ -301,6 +301,22 @@ def _symmetrize3(t: np.ndarray) -> np.ndarray:
     ) / 6.0
 
 
+def symmetrized_gradient(geom: BatchGeometry, du: float, dv: float,
+                         wrap_u: bool) -> np.ndarray:
+    """grad h, (q, i, j, a, ...): frame-aligned central differences (second
+    order) in orthonormal tangent directions through the chart coefficients,
+    totally symmetrized, of batch_geometry's output on an (nu, nv) grid of
+    chart nodes.  v is periodic, and u when wrap_u; otherwise u's two
+    boundary rows have no central difference and are left out."""
+    h, tangent, normal = geom.h, geom.tangent, geom.normal
+    if not wrap_u and h.shape[-2] < 3:
+        raise InsufficientStencil("grid too small for central differences")
+    chart = np.stack([_aligned_difference(h, tangent, normal, 0, du),
+                      _aligned_difference(h, tangent, normal, 1, dv)])
+    grad = _symmetrize3(np.einsum("qc...,cija...->qija...", geom.chart_coeff, chart))
+    return grad if wrap_u else grad[..., 1:-1, :]
+
+
 def gradient_margins(geom: BatchGeometry, du: float, dv: float,
                      wrap_u: bool) -> GradientMargins:
     """Pointwise gradient-inequality margins of a gridded geometry.
@@ -309,24 +325,9 @@ def gradient_margins(geom: BatchGeometry, du: float, dv: float,
     m2 = (|grad A|^2 - |grad H|^2/n) - 2(n-1)/(3n) |grad A|^2
     m3 = |grad A|^2 - 2 grad_evol Kperp            (n = 2 only)
 
-    grad h is estimated by frame-aligned central differences (second
-    order), converted to orthonormal tangent directions through the chart
-    coefficients, and totally symmetrized.
-
-    geom is batch_geometry's output on an (nu, nv) grid of chart nodes.  The
-    v axis is periodic; so is u when wrap_u, and otherwise the two boundary
-    rows have no central difference and are left out of the output.
+    with grad h from symmetrized_gradient, on its points.
     """
-    h, tangent, normal = geom.h, geom.tangent, geom.normal
-    if not wrap_u and h.shape[-2] < 3:
-        raise InsufficientStencil("grid too small for central differences")
-
-    chart = np.stack([_aligned_difference(h, tangent, normal, 0, du),
-                      _aligned_difference(h, tangent, normal, 1, dv)])
-    grad = _symmetrize3(np.einsum("qc...,cija...->qija...", geom.chart_coeff, chart))
-    if not wrap_u:
-        grad = grad[..., 1:-1, :]
-
+    grad = symmetrized_gradient(geom, du, dv, wrap_u)
     n = geom.n
     grad_a2 = np.einsum("qija...,qija...->...", grad, grad)
     grad_h = np.trace(grad, axis1=1, axis2=2)  # (q, a, ...)

@@ -26,12 +26,12 @@ with |H|^2 >= 0 recovered from the Q = 0 constraint and infeasible
 configurations masked to -inf.  Every stratum is sampled on one kind of
 lattice, resolution evenly spaced values on [0, 1] per free coordinate:
 (x, y) = (|Atr1|^2, |Atr-|^2) for Thm1, (a, b, c) for Thm2, and the split
-tau = x / (x + y) on the Thm1 |H| = 0 stratum.  Sweeps are deterministic:
-a fixed lattice, a serial pass over its chunks, elementwise evaluation (an
-entry's value does not depend on the chunk it is in), and one first-max
-reduction, _first_max, that base chunks and refinement rounds alike merge
-with `>`, so the lexicographically first maximum wins whatever the chunk
-size.
+tau = x / (x + y) on the Thm1 |H| = 0 stratum.  A sweep walks each lattice
+once, keeping its points inside the slice with their slice quantities
+(_lattice_table), and a pass for one constant is its quadratic form there.
+Sweeps are deterministic: a fixed lattice, a serial pass over its chunks,
+and one reduction, _lattice_max, under which a tie within the sign test's
+tolerance goes to the first point in lattice order, whatever the roundoff.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ SUP_SIGN_TOL = 1e-9      # "sup is positive" threshold, at least (see _sign_tol)
 BRACKET_WIDTH = 1e-4
 REFINE_FACTOR = 4        # lattice spacing shrink per refinement round
 CRITICAL_MAX_RES = 64    # lattice resolution cap of the critical-constant search
+# free coordinates of each stratum: (x, y) for thm1, tau on |H| = 0, (a, b, c) for thm2
+_FREE_DIMS = {("thm1", "full"): 2, ("thm1", "hzero"): 1, ("thm2", "full"): 3}
 
 
 # ---------------------------------------------------------------------------
@@ -282,37 +284,54 @@ class SweepReport:
     notes: list
 
 
-def _slice_configs(params, stratum, coords):
-    """(feasible mask, config arrays) of free coordinates on the Q = 0 slice.
-
-    config_arrays are the slice coordinates that rebuild the point (see
-    _config_h); they are meaningful at feasible entries only.
-    """
+def _inside(params, stratum, coords):
+    """Mask of the free coordinates, or broadcast axes, some cone constant
+    can make feasible on the Q = 0 slice: the simplex for thm1 (alpha only
+    scales |H|^2), the ball octant for thm2, tau in [0, 1] for hzero."""
+    if stratum == "hzero":
+        return (coords[0] >= 0.0) & (coords[0] <= 1.0)
     if params.variant == "thm1":
-        if stratum == "hzero":
-            tau = coords[0]
-            s_tot = params.beta / (1.0 + params.beta)
-            x = tau * s_tot
-            y = (1.0 - tau) * s_tot
-            kb = np.full_like(x, 1.0 / (1.0 + params.beta))
-            hsq = np.zeros_like(x)
-            ok = (tau >= 0.0) & (tau <= 1.0)
-        else:
-            x, y = coords
-            kb = 1.0 - x - y
-            ok = (x >= 0.0) & (y >= 0.0) & (kb >= -1e-15)
-            kb = np.maximum(kb, 0.0)
-            hsq = (x + y - params.beta * kb) / (params.alpha - 1.0 / params.n)
-            ok &= hsq >= 0.0
-        return ok, {"x": x, "y": y, "kbar": kb, "hsq": hsq}
+        x, y = coords
+        return (x >= 0.0) & (y >= 0.0) & (1.0 - x - y >= -1e-15)
     a, b, c = coords
-    s = a * a + b * b + c * c
-    kb = 1.0 - s
-    ok = (a >= 0.0) & (b >= 0.0) & (c >= 0.0) & (kb >= -1e-15)
-    kb = np.maximum(kb, 0.0)
-    hsq = (2.0 * s + 4.0 * params.gamma * a * c - params.epsilon * kb) / (params.k - 0.5)
-    ok &= hsq >= 0.0
-    return ok, {"a": a, "b": b, "c": c, "kbar": kb, "hsq": hsq}
+    kb = 1.0 - (a * a + b * b + c * c)
+    return (a >= 0.0) & (b >= 0.0) & (c >= 0.0) & (kb >= -1e-15)
+
+
+def _slice_quantities(params, stratum, coords):
+    """(quantity, point) table z of the slice polynomial's variables at free
+    coordinates, 1-D arrays, which no cone constant changes: 1 and tau on
+    the |H| = 0 stratum, kbar, x and y for thm1, and kbar, a^2, b^2, c^2
+    and ac for thm2, with kbar = 1 - (x + y) or 1 - (a^2 + b^2 + c^2)
+    clamped at 0."""
+    if stratum == "hzero":
+        return np.stack([np.ones_like(coords[0]), coords[0]])
+    if params.variant == "thm1":
+        x, y = coords
+        return np.stack([np.maximum(1.0 - x - y, 0.0), x, y])
+    a, b, c = coords
+    a2, b2, c2 = a * a, b * b, c * c
+    return np.stack([np.maximum(1.0 - (a2 + b2 + c2), 0.0), a2, b2, c2, a * c])
+
+
+def _slice_configs(params, stratum, coords, z):
+    """(|H|^2 >= 0 mask, config arrays) of params at free coordinates and
+    their slice quantities z: the slice coordinates that rebuild the point
+    (see _config_h), meaningful where this mask and _inside's hold."""
+    if stratum == "hzero":
+        tau, s_tot = coords[0], params.beta / (1.0 + params.beta)
+        hsq = np.zeros_like(tau)
+        return hsq >= 0.0, {"x": tau * s_tot, "y": (1.0 - tau) * s_tot,
+                            "kbar": np.full_like(tau, 1.0 / (1.0 + params.beta)), "hsq": hsq}
+    kb = z[0]
+    if params.variant == "thm1":
+        x, y = coords
+        hsq = (x + y - params.beta * kb) / (params.alpha - 1.0 / params.n)
+        return hsq >= 0.0, {"x": x, "y": y, "kbar": kb, "hsq": hsq}
+    a, b, c = coords
+    hsq = (2.0 * (z[1] + z[2] + z[3]) + 4.0 * params.gamma * a * c
+           - params.epsilon * kb) / (params.k - 0.5)
+    return hsq >= 0.0, {"a": a, "b": b, "c": c, "kbar": kb, "hsq": hsq}
 
 
 def _config_h(params, cfg):
@@ -328,31 +347,24 @@ def _config_h(params, cfg):
 # The reactions are polynomials.  Realized by thm1_config_h or
 # thm2_config_h, h enters _reaction through its quantities of degree 2, w:
 # (kbar, x, y, |H|^2) for thm1 and (kbar, a^2, b^2, c^2, ac, |H|^2) for
-# thm2 (with a, c >= 0, sign(Kperp) Kperp = 2ac).  Each reaction is a
-# quadratic form in w, 10 or 20 monomials, with coefficients affine in the
-# cone constants _reaction reads: (1, alpha) for thm1 and (1, gamma, k) for
-# thm2; beta and epsilon enter only through the Q = 0 value of |H|^2.
-# _fit_reaction takes those 2 x 10 or 3 x 20 coefficients from _reaction
-# once per sweep and checks them at points and a constant off its nodes.
-# On the Q = 0 slice w = S z, linear in the slice's own quantities of
-# degree 2, z: (kbar, x, y) for thm1, (kbar, a^2, b^2, c^2, ac) for thm2
-# and (1, tau) on the |H| = 0 stratum, so substituting S turns the fit into
-# each constant's slice polynomial, a quadratic form in z
-# (_slice_polynomial).  Written in kbar, that polynomial holds off the
-# normalization kbar = 1 - (x + y) too.
+# thm2 (a, c >= 0, sign(Kperp) Kperp = 2ac).  Each reaction is a quadratic
+# form in w, 10 or 20 monomials, with coefficients affine in the constants
+# _reaction reads, (1, alpha) or (1, gamma, k); beta and epsilon enter only
+# through the Q = 0 value of |H|^2.  _fit_reaction takes the 2 x 10 or
+# 3 x 20 coefficients from _reaction once per sweep.  On the Q = 0 slice
+# w = S z, linear in the slice's quantities of degree 2, z (see
+# _slice_quantities), so substituting S gives each constant's slice
+# polynomial, a quadratic form in z (_slice_polynomial), which, written in
+# kbar, holds off the normalization kbar = 1 - (x + y) too.
 
 FIT_TOL = 1e-12          # fit residual bound, relative to the reaction's size
 FIT_CHECKS = 16          # check points of the fit
 
 # exponents of w in the fit variables, (kbar, x, y, |H|^2) for thm1 and
-# (kbar, a, b^2, c, |H|^2) for thm2, and of z in the slice polynomial's
-# variables (see _poly_args)
+# (kbar, a, b^2, c, |H|^2) for thm2
 _W = {"thm1": np.eye(4, dtype=int),
       "thm2": np.array([(1, 0, 0, 0, 0), (0, 2, 0, 0, 0), (0, 0, 1, 0, 0),
                         (0, 0, 0, 2, 0), (0, 1, 0, 1, 0), (0, 0, 0, 0, 1)])}
-_Z = {("thm1", "full"): np.eye(3, dtype=int),
-      ("thm1", "hzero"): np.array([(0,), (1,)]),
-      ("thm2", "full"): _W["thm2"][:5, :4]}
 # the node constants, then the check constant; the reaction is affine in them
 _FIT_CONSTANTS = {"thm1": [{"alpha": 1.0}, {"alpha": 2.0}, {"alpha": 1.5}],
                   "thm2": [{"gamma": 0.0, "k": 0.0}, {"gamma": 1.0, "k": 0.0},
@@ -361,14 +373,12 @@ _FIT_CONSTANTS = {"thm1": [{"alpha": 1.0}, {"alpha": 2.0}, {"alpha": 1.5}],
 
 def _products(exps):
     """Monomials of a quadratic form in variables with exponents exps: the
-    distinct sums exps[i] + exps[j], for each the first (i, j) giving it
-    (i <= j), and each (i, j)'s index among them."""
+    distinct sums exps[i] + exps[j], and for each the first (i, j) giving it
+    (i <= j)."""
     m, rows = len(exps), exps.tolist()
     sums = [tuple(p + q for p, q in zip(a, b)) for a in rows for b in rows]
     monomials = sorted(set(sums))
-    first = [sums.index(mono) for mono in monomials]
-    index = [monomials.index(mono) for mono in sums]
-    return np.array(monomials), np.divmod(first, m), np.reshape(index, (m, m))
+    return np.array(monomials), np.divmod([sums.index(mono) for mono in monomials], m)
 
 
 def _monomial_values(monomials, fv):
@@ -397,7 +407,6 @@ def _fit_nodes(monomials, levels):
 
 
 _FIT_MONOMIALS = {key: _products(w) for key, w in _W.items()}
-_SLICE_MONOMIALS = {key: _products(z) for key, z in _Z.items()}
 # node levels of the fit variables: the realized h has entries 0, 1/2, 1
 # and 2 (and 2/n for |H|^2), so _reaction rounds little there
 _FIT_NODES = {"thm1": _fit_nodes(_FIT_MONOMIALS["thm1"][0], (1.0, 2.0, 2.0, 4.0)),
@@ -470,83 +479,43 @@ def _substitution(params, stratum):
     return np.vstack([np.eye(len(hsq)), hsq])
 
 
-def _poly_args(params, stratum, coords, cfg):
-    """The slice polynomial's variables: tau on the |H| = 0 stratum, kbar
-    and (x, y) for thm1, and kbar, a, b^2 and c for thm2."""
-    if stratum == "hzero":
-        return tuple(coords)
-    if params.variant == "thm1":
-        return (cfg["kbar"],) + tuple(coords)
-    a, b, c = coords
-    return cfg["kbar"], a, b * b, c
-
-
 def _slice_polynomial(fit, params, stratum):
-    """Nested Horner form (see _horner) of the reaction's polynomial on the
-    Q = 0 slice of params: the fit at params' constants, with |H|^2
-    substituted."""
+    """Coefficient matrix P of the reaction on the Q = 0 slice of params,
+    the quadratic form z^T P z in the variables of _slice_quantities: the
+    fit at params' constants, with |H|^2 substituted."""
     coef = _multipliers(params) @ fit
-    _, (i, j), _ = _FIT_MONOMIALS[params.variant]
+    _, (i, j) = _FIT_MONOMIALS[params.variant]
     s = _substitution(params, stratum)
-    monomials, _, index = _SLICE_MONOMIALS[params.variant, stratum]
-    pairs = np.einsum("m,mp,mq->pq", coef, s[i], s[j])
-    nested = {}
-    for exps, cf in zip(monomials.tolist(),
-                        np.bincount(index.ravel(), pairs.ravel()).tolist()):
-        node = nested
-        for e in exps[:-1]:
-            node = node.setdefault(e, {})
-        node[exps[-1]] = cf
-    return nested
+    return np.einsum("m,mp,mq->pq", coef, s[i], s[j])
 
 
-def _horner(poly, xs):
-    """Value of the nested polynomial {power of xs[0]: polynomial in xs[1:]}
-    by Horner's rule, elementwise: each entry's value takes the same
-    operations whatever the shape of xs."""
-    if not xs:
-        return poly
-    acc = None
-    for p in range(max(poly), -1, -1):
-        if acc is not None:
-            acc = acc * xs[0]
-        if p in poly:
-            term = _horner(poly[p], xs[1:])
-            acc = term if acc is None else acc + term
-    return acc
+def _eval_configs(params, stratum, coords, form=None, z=None, printed=True):
+    """Reaction on explicit free coordinates, 1-D arrays; infeasible
+    entries -> -inf.
 
-
-def _eval_configs(params, stratum, coords, poly=None):
-    """Reaction on explicit free coordinates; infeasible entries -> -inf.
-
-    The feasibility mask comes first; the reaction is the slice polynomial
-    poly of params (see _slice_polynomial; without it the call fits its
-    own, unless no entry is feasible), evaluated by Horner's rule.  The
-    thm2 printed-R3 route is the reaction less its pinned gap 4 gamma
-    |Kperp| b^2, with |Kperp| = 2ac on the slice.  Returns
-    (values, printed_values, feasible_mask, config_arrays) where
-    config_arrays are the slice coordinates needed to rebuild the point;
-    they are meaningful at feasible entries only.
+    The reaction is z^T P z with P = form, params' slice polynomial (without
+    it the call fits its own, unless no entry is feasible), where params'
+    |H|^2 >= 0.  A lattice table passes the slice quantities z of its points
+    inside the slice; without them they and _inside's mask are computed
+    here.  The thm2 printed-R3 route, when printed, is the reaction less
+    its pinned gap 4 gamma |Kperp| b^2, with |Kperp| = 2ac on the slice.
+    Returns (values, printed_values or None, feasible_mask, config_arrays),
+    config_arrays meaningful at feasible entries only (see _slice_configs).
     """
-    ok, cfg = _slice_configs(params, stratum, coords)
+    inside = True if z is not None else _inside(params, stratum, coords)
+    z = _slice_quantities(params, stratum, coords) if z is None else z
+    ok, cfg = _slice_configs(params, stratum, coords, z)
+    ok &= inside
     if ok.any():
-        if poly is None:
-            poly = _slice_polynomial(_fit_reaction(params), params, stratum)
-        vals = np.where(ok, _horner(poly, _poly_args(params, stratum, coords, cfg)), -np.inf)
+        if form is None:
+            form = _slice_polynomial(_fit_reaction(params), params, stratum)
+        vals = np.where(ok, np.einsum("pk,pk->k", z, form @ z), -np.inf)
     else:
         vals = np.full(ok.shape, -np.inf)
-    if params.variant == "thm1":
+    if params.variant == "thm1" or not printed:
         return vals, None, ok, cfg
     a, b, c = coords
     return vals, vals - 4.0 * params.gamma * (2.0 * a * c) * (b * b), ok, cfg
-
-
-def _free_dim(params, stratum):
-    """Number of free coordinates of a stratum: tau for hzero, (x, y) for
-    thm1, (a, b, c) for thm2."""
-    if params.variant == "thm1":
-        return 1 if stratum == "hzero" else 2
-    return 3
 
 
 def _lattice_chunk(params, stratum, res, lo, hi):
@@ -558,7 +527,7 @@ def _lattice_chunk(params, stratum, res, lo, hi):
     coordinates, one range, then j whole axes; their broadcast shape lists
     the chunk in lattice order.
     """
-    dim = _free_dim(params, stratum)
+    dim = _FREE_DIMS[params.variant, stratum]
     j = dim - 1
     while lo % res ** j or hi % res ** j:
         j -= 1
@@ -580,7 +549,7 @@ def _chunk_ranges(params, stratum, res, chunk):
     """Lattice index ranges [lo, hi) of at most max(1024, chunk) configurations,
     in lattice order, each a run of whole res^j blocks inside one res^(j+1)
     block, j as large as the chunk size allows."""
-    dim = _free_dim(params, stratum)
+    dim = _FREE_DIMS[params.variant, stratum]
     step = max(1024, chunk)
     j = max(i for i in range(dim) if res ** i <= step)
     unit = res ** j
@@ -590,65 +559,86 @@ def _chunk_ranges(params, stratum, res, chunk):
             yield top + first * unit, top + min(first + per, res) * unit
 
 
-def _first_max(coords, evaluated):
-    """(max, argmax config, feasible count, printed max, argmax free
-    coordinates) of evaluated = _eval_configs(params, stratum, coords).  The
-    first maximum in coordinate order wins; with no feasible entry the max
-    is -inf."""
-    vals, printed, ok, cfg = evaluated
-    pos = np.unravel_index(int(np.argmax(vals)), vals.shape)
-
-    def at(v):  # v broadcasts to vals.shape: a length-1 axis takes index 0
-        return float(v[tuple(i if n > 1 else 0 for i, n in zip(pos, v.shape))])
-
-    return (float(vals[pos]), {k: at(v) for k, v in cfg.items()}, int(np.count_nonzero(ok)),
-            -np.inf if printed is None else float(printed.max()),
-            [at(co) for co in coords])
+def _lattice_table(params, stratum, res, chunk):
+    """Blocks of the lattice in lattice order, a chunk at a time: the free
+    coordinates of the points inside the slice (see _inside) and their
+    slice quantities, which every cone constant shares."""
+    for lo, hi in _chunk_ranges(params, stratum, res, chunk):
+        axes = _lattice_chunk(params, stratum, res, lo, hi)
+        inside = _inside(params, stratum, axes)
+        if inside.any():
+            coords = [co[inside] for co in np.broadcast_arrays(*axes)]
+            yield coords, _slice_quantities(params, stratum, coords)
 
 
-def _run_base_sweep(params, stratum, res, chunk, poly):
+def _lattice_max(params, stratum, form, blocks, printed=False):
+    """(sup, argmax config, feasible count, printed sup, argmax free
+    coordinates) of slice polynomial form over blocks of (free coordinates,
+    z or None), one _eval_configs call each.  A tie goes to the first point:
+    the argmax is the first entry, in block order, within the sign test's
+    tolerance at it (_sign_tol) of the max, so roundoff cannot pick between
+    points of equal exact value.  With no feasible entry the config is None.
+    """
+    top, samples, printed_sup, near = -np.inf, 0, -np.inf, []
+    for coords, z in blocks:
+        vals, prt, ok, cfg = _eval_configs(params, stratum, coords, form, z, printed)
+        samples += int(np.count_nonzero(ok))
+        printed_sup = printed_sup if prt is None else max(printed_sup, float(prt.max()))
+        top = max(top, float(vals.max()))
+        if top == -np.inf:
+            continue
+        # the tolerance at the block's largest |H|^2, doubled, bounds it at
+        # every entry that can tie with top
+        hsq = cfg["hsq"]
+        at = np.flatnonzero(vals >= top - 2.0 * _sign_tol(top, float(hsq.max())))
+        reach = vals[at] + _sign_tol(vals[at], hsq[at])
+        near = [block for block in near + [(reach, at, vals, cfg, coords)]
+                if (block[0] >= top).any()]
+    if not near:
+        return top, None, samples, printed_sup, None
+    reach, at, vals, cfg, coords = near[0]
+    i = at[np.argmax(reach >= top)]
+    return (float(vals[i]), {key: float(v[i]) for key, v in cfg.items()}, samples,
+            printed_sup, [float(co[i]) for co in coords])
+
+
+def _run_base_sweep(params, stratum, res, chunk, form):
     """(sup, argmax config, feasible samples, printed sup, argmax free
-    coordinates) of slice polynomial poly over the base lattice, a chunk of
-    configurations at a time."""
-    best, best_cfg, samples, printed_sup, best_coords = -np.inf, None, 0, -np.inf, None
-    for lo, hi in _chunk_ranges(params, stratum, res, chunk):  # the first max wins
-        coords = _lattice_chunk(params, stratum, res, lo, hi)
-        evaluated = _eval_configs(params, stratum, coords, poly)
-        val, cfg, count, printed, at = _first_max(coords, evaluated)
-        samples += count
-        printed_sup = max(printed_sup, printed)
-        if val > best:
-            best, best_cfg, best_coords = val, cfg, at
-    return best, best_cfg, samples, printed_sup, best_coords
+    coordinates, table) of slice polynomial form over the base lattice: up
+    to CRITICAL_MAX_RES the table the critical search reuses, else streamed
+    (and the table is None)."""
+    blocks = _lattice_table(params, stratum, res, chunk)
+    table = list(blocks) if res <= CRITICAL_MAX_RES else None
+    return _lattice_max(params, stratum, form, blocks if table is None else table,
+                        printed=True) + (table,)
 
 
-def _refine(params, grid, best, best_cfg, center, poly):
+def _refine(params, grid, best, best_cfg, center, form):
     """Local lattice refinement around the incumbent, whose free coordinates
-    are center; monotone in sup."""
-    spacing = 1.0 / grid.resolution
-    extra = 0
+    are center; monotone in sup, and a tie keeps the incumbent."""
+    spacing, extra = 1.0 / grid.resolution, 0
     for _ in range(grid.refine_rounds):
         axes = [np.linspace(co - spacing, co + spacing, 2 * REFINE_FACTOR + 1)
                 for co in center]
-        coords = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
-        val, cfg, count, _, at = _first_max(coords,
-                                            _eval_configs(params, grid.stratum, coords, poly))
+        coords = [np.ravel(co) for co in np.meshgrid(*axes, indexing="ij")]
+        val, cfg, count, _, at = _lattice_max(params, grid.stratum, form, [(coords, None)])
         extra += count
-        if val > best:
+        if val - best > _sign_tol(best, best_cfg["hsq"]):
             best, best_cfg, center = val, cfg, at
         spacing /= REFINE_FACTOR
     return best, best_cfg, extra
 
 
-def _sup_at(params, resolution, stratum, chunk, poly):
-    """(sup, argmax config) of one base-lattice pass."""
-    return _run_base_sweep(params, stratum, resolution, chunk, poly)[:2]
+def _sup_at(params, stratum, form, table):
+    """(sup, argmax config) of one pass over a lattice table."""
+    return _lattice_max(params, stratum, form, table)[:2]
 
 
-def _sign_tol(sup, cfg):
-    """The "sup is positive" threshold at argmax config cfg: SUP_SIGN_TOL, or
-    FIT_TOL times the reaction's size there (see _fit_reaction)."""
-    return max(SUP_SIGN_TOL, FIT_TOL * max(abs(sup), (1.0 + cfg["hsq"]) ** 2))
+def _sign_tol(sup, hsq):
+    """The "sup is positive" threshold at a value sup where |H|^2 = hsq,
+    elementwise: SUP_SIGN_TOL, or FIT_TOL times the reaction's size there
+    (see _fit_reaction)."""
+    return np.maximum(SUP_SIGN_TOL, FIT_TOL * np.maximum(np.abs(sup), (1.0 + hsq) ** 2))
 
 
 def _with_constant(params, stratum, value):
@@ -672,19 +662,22 @@ def _scan_range(params, stratum):
     return np.linspace(1.0 / n + 0.05 * span, 1.0 / n + 2.0 * span, 21)
 
 
-def _critical_constant(params, grid, fit):
+def _critical_constant(params, grid, fit, table=None):
     """Scan the cone constant, bracket every sign change of the sweep sup,
     and bisect the first bracket down to BRACKET_WIDTH, each constant's
-    slice polynomial from the reaction fit."""
+    slice polynomial from the reaction fit, each pass over one lattice
+    table at min(resolution, CRITICAL_MAX_RES): the base sweep's, if kept."""
     stratum = grid.stratum
     res = min(grid.resolution, CRITICAL_MAX_RES)
+    if table is None:
+        table = list(_lattice_table(params, stratum, res, grid.chunk))
     values = _scan_range(params, stratum)
     notes = []
 
     def positive(cv):
         at = _with_constant(params, stratum, float(cv))
-        sup, cfg = _sup_at(at, res, stratum, grid.chunk, _slice_polynomial(fit, at, stratum))
-        return cfg is not None and sup > _sign_tol(sup, cfg)
+        sup, cfg = _sup_at(at, stratum, _slice_polynomial(fit, at, stratum), table)
+        return cfg is not None and sup > _sign_tol(sup, cfg["hsq"])
 
     flags = [positive(cv) for cv in values]
     brackets = [(float(values[i]), float(values[i + 1]), flags[i])
@@ -732,24 +725,25 @@ def reaction_sweep(params: ConeParams, grid: SweepGrid | None = None) -> SweepRe
         raise BadParams("at k = 1/2 |H|^2 drops out of Q, so Q = 0 does not fix it")
 
     fit = _fit_reaction(params)
-    poly = _slice_polynomial(fit, params, grid.stratum)
-    best, best_cfg, samples, printed_sup, center = _run_base_sweep(
-        params, grid.stratum, grid.resolution, grid.chunk, poly)
+    form = _slice_polynomial(fit, params, grid.stratum)
+    best, best_cfg, samples, printed_sup, center, table = _run_base_sweep(
+        params, grid.stratum, grid.resolution, grid.chunk, form)
     base_best = best
     if best_cfg is None:
         raise EmptyFeasibleSet("no feasible configuration on the Q = 0 slice")
     if grid.refine_rounds > 0:
-        best, best_cfg, extra = _refine(params, grid, best, best_cfg, center, poly)
+        best, best_cfg, extra = _refine(params, grid, best, best_cfg, center, form)
         samples += extra
 
     h, p_at = realize_argmax(params, best_cfg)
     sup = float(reaction_of_Q(h, p_at))
     notes = []
+    tol = _sign_tol(sup, best_cfg["hsq"])
     # a move within the sign test's tolerance is roundoff of the reaction's terms
-    if abs(sup - best) > _sign_tol(sup, best_cfg):
+    if abs(sup - best) > tol:
         notes.append("argmax recheck moved sup from %.15e to %.15e" % (best, sup))
 
-    claim = ("sup <= 0 (negativity claim holds on this slice)" if sup <= _sign_tol(sup, best_cfg)
+    claim = ("sup <= 0 (negativity claim holds on this slice)" if sup <= tol
              else "sup > 0 (negativity claim FAILS on this slice)")
     notes.append("measured sup = %.6e: %s" % (sup, claim))
     if params.variant == "thm2":
@@ -758,7 +752,7 @@ def reaction_sweep(params: ConeParams, grid: SweepGrid | None = None) -> SweepRe
 
     critical = width = None
     if grid.bisect:
-        critical, width, extra_notes = _critical_constant(params, grid, fit)
+        critical, width, extra_notes = _critical_constant(params, grid, fit, table)
         notes.extend(extra_notes)
 
     return SweepReport(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pinchflow.flow
-from pinchflow.cli import main
+from pinchflow.cli import SUBCOMMANDS, build_parser, main
 from pinchflow.errors import DegenerateJet
 from pinchflow.flow import monitor
 
@@ -14,6 +14,26 @@ from pinchflow.flow import monitor
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "20", "--seed", "3", "--tol", "1e-9", "--output-dir", "out"],
+    ["canonical", "--surface", "geodesic-sphere", "--rho", "0.7", "--tol", "1e-6"],
+    ["sweep", "--variant", "thm2", "--k", "0.7", "--resolution", "16", "--chunk", "2048",
+     "--refine-rounds", "1", "--no-bisect", "--config", "cfg.json"],
+    ["flow", "--surface", "clifford", "--nu", "8", "--nv", "16", "--scheme", "rk2",
+     "--t-max", "0.1", "--stride", "3", "--cone", "thm1", "--alpha", "0.7", "--prefix", "p_"],
+    ["report", "--output-dir", "out"],
+], ids=["verify", "canonical", "sweep", "flow", "report"])
+def test_parser_of_the_invoked_subcommand_reads_as_the_full_parser(argv):
+    """main builds only the invoked subcommand's arguments: it reads argv
+    as the parser with every subcommand's arguments does, and the other
+    subcommands stay registered with their help."""
+    parser, table = build_parser(argv[0])
+    assert vars(parser.parse_args(argv)) == vars(build_parser()[0].parse_args(argv))
+    assert set(table) == set(SUBCOMMANDS)
+    assert [a.dest for a in table[argv[0]]._actions][-2:] == ["output_dir", "config"]
+    assert all(len(p._actions) == 1 for name, p in table.items() if name != argv[0])
 
 
 def test_verify_small_trials(tmp_path, capsys):

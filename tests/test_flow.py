@@ -18,7 +18,9 @@ from pinchflow.flow import (CSV_HEADER, DEFAULT_CFL, FILTER_FRACTION, FLAT_SPAN,
                             read_snapshot, run, sphere_extinction_time, sphere_ode_oracle,
                             step, write_monitor_csv, write_snapshot)
 from pinchflow.grids import _d1, _d2, _stencil_index, batch_jets
+from pinchflow.identities import gradient_margins
 from pinchflow.pinching import ConeParams
+from pinchflow.tensor_kernel import batch_geometry
 
 
 def geodesic_grid(rho, nu, nv):
@@ -292,6 +294,24 @@ def test_monitor_grad_ratio_nan_without_stencil():
     rec = monitor(grid, batch_jets(grid), FlowConfig(), 0.0)
     assert np.isnan(rec.grad_ratio)
     assert rec.area > 0.0
+
+
+@pytest.mark.parametrize("kind,params,nu,nv,amplitude", [
+    ("flat-torus", {}, 24, 24, 0.05), ("geodesic-sphere", {"rho": np.pi / 3}, 16, 32, 0.02),
+    ("veronese", {}, 12, 24, 0.02)], ids=["torus", "sphere", "veronese"])
+def test_monitor_grad_ratio_reads_the_margins_gradient(kind, params, nu, nv, amplitude):
+    """The monitor contracts |grad A|^2 from the gradient gradient_margins
+    uses: its grad_ratio equals the one gradient_margins' grad_a2 gives, bit
+    for bit, with and without the u-boundary rows."""
+    grid = perturb(make_surface(kind, **params), (2, 1), amplitude, nu, nv)
+    cfg = FlowConfig(sigma=0.1)
+    rec = monitor(grid, batch_jets(grid), cfg, 0.0)
+    wrap_u = grid.topology == "torus"
+    geom = batch_geometry(*batch_jets(grid), kbar=cfg.kbar)
+    g = geom.normH2 / (geom.n - 1.0) - geom.normA2 + 2.0 * cfg.kbar
+    g = g if wrap_u else g[1:-1]
+    grad_a2 = gradient_margins(geom, grid.du, grid.dv, wrap_u).grad_a2
+    assert rec.grad_ratio == float((grad_a2[g > 0] / g[g > 0] ** (2.0 - cfg.sigma)).max())
 
 
 def test_monitor_with_cone_and_harnack():

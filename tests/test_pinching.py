@@ -14,7 +14,7 @@ from pinchflow.frames import specialize, split_traceless
 from pinchflow.identities import norms_batch
 from pinchflow.pinching import (ConeParams, SweepGrid, _chunk_ranges,
                                 _config_h, _eval_configs, _lattice_chunk, _reaction,
-                                _slice_configs, blowup_time,
+                                _inside, _slice_configs, _slice_quantities, blowup_time,
                                 discriminant_report, harnack_bound, q_value,
                                 reaction_of_Q, reaction_sweep, realize_argmax,
                                 thm1_config_h, thm2_config_h)
@@ -518,21 +518,50 @@ def test_bisected_sweep_fits_once(monkeypatch, params, stratum):
                       "reactions": len(pinching._FIT_CONSTANTS[params.variant]) + 1}
 
 
-def _contraction_eval_configs(params, stratum, coords, poly=None):
+@pytest.mark.parametrize("params,stratum,res", [
+    (ConeParams("thm2"), "full", 24), (ConeParams("thm1", n=2), "full", 80),
+    (ConeParams("thm1", n=2, beta=1.0), "hzero", 100)], ids=["thm2", "thm1", "hzero"])
+def test_bisected_sweep_walks_each_lattice_once(monkeypatch, params, stratum, res):
+    """A bisected sweep builds each lattice it visits once, a chunk at a
+    time, in lattice order: the base lattice, whose table the critical
+    search reuses up to CRITICAL_MAX_RES, and above it the search's own."""
+    built = []
+    lattice_chunk = pinching._lattice_chunk
+    monkeypatch.setattr(pinching, "_lattice_chunk",
+                        lambda *args: built.append(args[2:]) or lattice_chunk(*args))
+    rep = reaction_sweep(params, SweepGrid(resolution=res, refine_rounds=0, chunk=1024,
+                                           stratum=stratum))
+    assert any(note.startswith(("bracket_width", "critical scan")) for note in rep.notes)
+    lattices = [res] + ([pinching.CRITICAL_MAX_RES] if res > pinching.CRITICAL_MAX_RES else [])
+    assert built == [(r, lo, hi) for r in lattices
+                     for lo, hi in _chunk_ranges(params, stratum, r, 1024)]
+
+
+def _contraction_eval_configs(params, stratum, coords, form=None, z=None, printed=True):
     """The lattice evaluation the slice polynomial replaced, kept as a
     test-only oracle: the reaction from the identities contractions on the
-    realized h of every feasible entry.  The sweep's slice polynomial poly
-    goes unused."""
-    ok, cfg = _slice_configs(params, stratum, coords)
+    realized h of every feasible entry.  The sweep's slice polynomial form
+    goes unused, and the slice quantities z are recomputed."""
+    ok, cfg = _slice_configs(params, stratum, coords, _slice_quantities(params, stratum, coords))
+    ok &= _inside(params, stratum, coords)
     cfg = dict(zip(cfg, np.broadcast_arrays(*cfg.values())))
     at = {key: v[ok] for key, v in cfg.items()}
     vals = np.full(ok.shape, -np.inf)
     vals[ok] = _reaction(params, _config_h(params, at), at["kbar"])
-    if params.variant == "thm1":
+    if params.variant == "thm1" or not printed:
         return vals, None, ok, cfg
     printed = np.full(ok.shape, -np.inf)
     printed[ok] = vals[ok] - 4.0 * params.gamma * (2.0 * at["a"] * at["c"]) * at["b"] ** 2
     return vals, printed, ok, cfg
+
+
+def _tilted(tilt):
+    """The contraction oracle with tilt * tau added to every value: far
+    below the sign test's tolerance, far above roundoff."""
+    def evaluate(params, stratum, coords, *args):
+        vals, printed, ok, cfg = _contraction_eval_configs(params, stratum, coords, *args)
+        return vals + tilt * coords[0], printed, ok, cfg
+    return evaluate
 
 
 @pytest.mark.parametrize("params,stratum", [
@@ -541,11 +570,29 @@ def _contraction_eval_configs(params, stratum, coords, poly=None):
     ids=["thm1_n2", "thm1_n4", "thm2", "hzero"])
 def test_contraction_oracle_reproduces_report(monkeypatch, params, stratum):
     """At resolution 16, every report of the polynomial route, bisection
-    included, is the one the contraction lattice writes."""
+    included, is the one the contraction lattice writes: the oracle
+    evaluates the base pass, each refinement round and every pass of the
+    critical search.  On the |H| = 0 stratum at n = 2, beta = 1 the
+    reaction is -1/4 - (tau - 1/2)^2, so tau = 7/15 and 8/15 tie: the first
+    in lattice order wins whichever way the oracle's values lean."""
     grid = SweepGrid(resolution=16, stratum=stratum)
     report = asdict(reaction_sweep(replace(params), grid))
-    monkeypatch.setattr(pinching, "_eval_configs", _contraction_eval_configs)
-    assert asdict(reaction_sweep(replace(params), grid)) == report
+    oracles = [_contraction_eval_configs]
+    if stratum == "hzero":
+        base = reaction_sweep(replace(params), replace(grid, refine_rounds=0, bisect=False))
+        assert base.argmax["x"] == 7.0 / 15.0 * 0.5
+        oracles += [_tilted(1e-13), _tilted(-1e-13)]
+    for oracle in oracles:
+        calls, passes = [], []
+        sup_at = pinching._sup_at
+        monkeypatch.setattr(pinching, "_eval_configs",
+                            lambda *args: calls.append(args) or oracle(*args))
+        monkeypatch.setattr(pinching, "_sup_at",
+                            lambda *args: passes.append(args) or sup_at(*args))
+        assert asdict(reaction_sweep(replace(params), grid)) == report
+        # one lattice block per pass at resolution 16
+        assert len(passes) >= 21 and len(calls) == 1 + grid.refine_rounds + len(passes)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("params", [
