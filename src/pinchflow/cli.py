@@ -140,7 +140,7 @@ def cmd_canonical(args) -> int:
     tol = _tolerance(args)
     surf = canonical_mod.make_surface(args.surface, **_surface_params(args))
     jet = surf.jet_at(0.9, 1.3)
-    geom = point_geometry(jet, kbar=1.0)
+    geom = point_geometry(jet)
     computed = {
         "normA2": float(geom.normA2),
         "normH2": float(geom.normH2),
@@ -339,7 +339,7 @@ def _flow_args(p):
     # each FlowConfig setting is the flag of its name, with its default
     flow_cfg = flow_mod.FlowConfig
     p.add_argument("--scheme", choices=flow_mod.SCHEMES, default=flow_cfg.scheme)
-    for key in ("cfl", "t_max", "ceiling", "flat_threshold", "kbar", "sigma",
+    for key in ("cfl", "t_max", "ceiling", "flat_threshold", "sigma",
                 "harnack_csharp", "harnack_delta0"):
         p.add_argument("--" + key.replace("_", "-"), type=float, default=getattr(flow_cfg, key))
     p.add_argument("--stride", type=int, default=flow_cfg.stride,

@@ -42,7 +42,7 @@ leaves it), and puts the zeros back for each record and the final state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -141,8 +141,7 @@ class FlowConfig:
     flat_threshold: float = 1e-4     # a2_max of ApproachTotallyGeodesic
     stride: int = 25                 # velocity evaluations between monitor records
     sigma: float = 0.5               # grad_ratio exponent: |grad A|^2 / g^(2 - sigma)
-    kbar: float = 1.0
-    cone: ConeParams | None = None   # evaluated at this config's kbar
+    cone: ConeParams | None = None   # evaluated at the unit sphere's kbar = 1
     harnack_csharp: float | None = None
     harnack_delta0: float | None = None
 
@@ -157,19 +156,17 @@ class FlowConfig:
         if self.scheme == "rkl2" and _rkl2_fraction(self.cfl) > 1.0:
             raise BadParams("rkl2 at cfl %r steps past its stability bound: cfl must be "
                             "at most %.6g" % (self.cfl, DEFAULT_CFL / RKL2_SAFETY))
-        if not (math.isfinite(self.kbar) and self.kbar > 0):
-            # the monitor divides the metric by kbar and rescales by sqrt(kbar)
-            raise BadParams("kbar must be a finite positive number")
         if (self.harnack_csharp is None) != (self.harnack_delta0 is None):
             raise BadParams("harnack audit needs both csharp and delta0")
         if self.harnack_csharp is not None and not (
                 0 < self.harnack_csharp < math.inf and math.isfinite(self.harnack_delta0)):
             # a NaN or infinite constant makes every bound pass vacuously
             raise BadParams("harnack_csharp must be finite and positive, harnack_delta0 finite")
-        if self.cone is not None:
-            # one background curvature per flow: Q is evaluated at the kbar
-            # that batch_geometry rescales the monitored invariants by
-            self.cone = replace(self.cone, kbar=self.kbar)
+        if self.cone is not None and self.cone.kbar != 1.0:
+            # flows run in the unit sphere; the cones are homogeneous, so
+            # kbar = 1 covers every background curvature
+            raise BadParams("a flow cone is evaluated at kbar = 1, got kbar %r"
+                            % self.cone.kbar)
 
 
 @dataclass
@@ -459,7 +456,7 @@ def _grad_ratio(geom, surface, cfg):
     except (InsufficientStencil, np.linalg.LinAlgError):
         return float("nan")
     n = geom.n
-    g = geom.normH2 / (n - 1.0) - geom.normA2 + 2.0 * cfg.kbar
+    g = geom.normH2 / (n - 1.0) - geom.normA2 + 2.0  # the last term is 2 kbar
     if not wrap_u:
         g = g[1:-1]
     pos = g > 0
@@ -500,7 +497,7 @@ def _harnack_violations(pos, habs, cfg, t):
 
 def monitor(surface: GridSurface, jets, cfg: FlowConfig, t: float) -> MonitorRecord:
     """One monitor record of surface at time t; jets is batch_jets(surface)."""
-    geom = batch_geometry(*jets, kbar=cfg.kbar)
+    geom = batch_geometry(*jets)
     det = geom.metric[0, 0] * geom.metric[1, 1] - geom.metric[0, 1] ** 2
     area = float(np.sum(np.sqrt(det)) * surface.du * surface.dv)
 

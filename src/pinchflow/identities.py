@@ -21,12 +21,15 @@ Conventions (all in orthonormal frames):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BadDims, InsufficientStencil
 from .frames import ABCFrame, specialize
-from .tensor_kernel import BatchGeometry
+
+if TYPE_CHECKING:  # tensor_kernel imports this module for its invariants
+    from .tensor_kernel import BatchGeometry
 
 # ---------------------------------------------------------------------------
 # batched primitives: h is one (n, n, k) form or an (n, n, k, ...) batch

@@ -47,6 +47,7 @@ SUP_SIGN_TOL = 1e-9      # "sup is positive" threshold, at least (see _sign_tol)
 BRACKET_WIDTH = 1e-4
 REFINE_FACTOR = 4        # lattice spacing shrink per refinement round
 CRITICAL_MAX_RES = 64    # lattice resolution cap of the critical-constant search
+CHUNK_MIN = 1024         # least SweepGrid.chunk
 # free coordinates of each stratum: (x, y) for thm1, tau on |H| = 0, (a, b, c) for thm2
 _FREE_DIMS = {("thm1", "full"): 2, ("thm1", "hzero"): 1, ("thm2", "full"): 3}
 
@@ -87,6 +88,8 @@ class ConeParams:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise BadParams("%s must be finite, got %r" % (name, value))
+        if not float(self.n).is_integer():
+            raise BadParams("n must be an integer, got %r" % (self.n,))
         self.n = int(self.n)
         if self.n < 2:
             raise BadParams("need n >= 2")
@@ -256,8 +259,8 @@ class SweepGrid:
 
     resolution: int = 200
     refine_rounds: int = 3
-    # configurations per chunk (at least 1024); it bounds the memory of one
-    # evaluation, a few arrays of chunk entries
+    # configurations per chunk, at least CHUNK_MIN; it bounds the memory of
+    # one evaluation, a few arrays of chunk entries
     chunk: int = 32768
     stratum: str = "full"
     bisect: bool = True
@@ -267,7 +270,9 @@ class SweepGrid:
             raise BadParams("resolution must be at least 2")
         if self.stratum not in ("full", "hzero"):
             raise BadParams("stratum must be 'full' or 'hzero'")
-        if self.chunk < 1 or self.refine_rounds < 0:
+        if self.chunk < CHUNK_MIN:
+            raise BadParams("chunk must be at least %d, got %r" % (CHUNK_MIN, self.chunk))
+        if self.refine_rounds < 0:
             raise BadParams("bad sweep grid settings")
 
 
@@ -546,14 +551,13 @@ def _lattice_chunk(params, stratum, res, lo, hi):
 
 
 def _chunk_ranges(params, stratum, res, chunk):
-    """Lattice index ranges [lo, hi) of at most max(1024, chunk) configurations,
-    in lattice order, each a run of whole res^j blocks inside one res^(j+1)
+    """Lattice index ranges [lo, hi) of at most chunk configurations, in
+    lattice order, each a run of whole res^j blocks inside one res^(j+1)
     block, j as large as the chunk size allows."""
     dim = _FREE_DIMS[params.variant, stratum]
-    step = max(1024, chunk)
-    j = max(i for i in range(dim) if res ** i <= step)
+    j = max(i for i in range(dim) if res ** i <= chunk)
     unit = res ** j
-    per = min(res, step // unit)
+    per = min(res, chunk // unit)
     for top in range(0, res ** dim, unit * res):
         for first in range(0, res, per):
             yield top + first * unit, top + min(first + per, res) * unit
@@ -705,16 +709,19 @@ def _critical_constant(params, grid, fit, table=None):
 def reaction_sweep(params: ConeParams, grid: SweepGrid | None = None) -> SweepReport:
     """Supremum of reaction_of_Q over the compactified Q = 0 slice.
 
-    params.kbar is ignored: the background curvature is a slice coordinate
-    under the homogeneity normalization.  The reported sup_value is the
-    scalar re-evaluation of the argmax through reaction_of_Q, so the report
-    is reproducible from its own argmax record.  The reaction is fitted
+    params.kbar must be 1: the background curvature is a slice coordinate
+    under the homogeneity normalization, so no other value is swept.  The
+    reported sup_value is the scalar re-evaluation of the argmax through
+    reaction_of_Q, so the report is reproducible from its own argmax record.  The reaction is fitted
     once, raising SlicePolynomialMismatch if the fit misses _reaction, and
     the lattice passes evaluate the slice polynomial of each cone constant
     they visit.
     """
     if grid is None:
         grid = SweepGrid()
+    if params.kbar != 1.0:
+        raise BadParams("the sweep's kbar is a slice coordinate; params.kbar must be 1, "
+                        "got %r" % params.kbar)
     if grid.stratum == "hzero" and params.variant != "thm1":
         raise BadParams("the |H| = 0 stratum sweep is a thm1 construction")
     if (grid.bisect and params.variant == "thm2"

@@ -6,9 +6,11 @@ inside R^{n+k+1}.  The sphere-valued second fundamental form is obtained by
 projecting the chart second derivatives orthogonally to both the tangent
 space and the radial direction.
 
-Background curvature other than 1 is handled by exact rescaling (lengths
-scale by 1/sqrt(kbar), squared curvatures by kbar); there is no second code
-path for non-unit spheres.
+The background curvature is 1.  The pinching cones are homogeneous in
+|A|^2, |H|^2 and the background curvature kbar (h scaled by lambda and kbar
+by lambda^2 scale Q by lambda^2), so the unit sphere covers every kbar and
+there is no code path for other spheres.  The invariants of h (mean, norms,
+Kperp) come from the identities module's contractions.
 
 batch_geometry works component-major: the small axes (ambient, tangent,
 normal) lead and the batch axes trail, so each contraction is a sum of
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateJet, OffSphere
+from .identities import kperp_scalar, mean_vector, norms_batch
 
 GRAM_DET_TOL = 1e-12
 SPHERE_TOL = 1e-6
@@ -49,16 +52,10 @@ class Jet2:
         self.second_derivs = np.asarray(self.second_derivs, dtype=float)
 
     def validate(self):
-        if abs(np.linalg.norm(self.position) - 1.0) > SPHERE_TOL:
-            raise OffSphere(
-                "position is off the unit sphere by %.3e"
-                % abs(np.linalg.norm(self.position) - 1.0)
-            )
+        """Exact symmetry of the second derivatives; batch_geometry checks the
+        rest (OffSphere, DegenerateJet)."""
         if not np.array_equal(self.second_derivs, np.swapaxes(self.second_derivs, 0, 1)):
             raise ValueError("second_derivs must be exactly symmetric")
-        gram = self.first_derivs @ self.first_derivs.T
-        if np.linalg.det(gram) <= GRAM_DET_TOL:
-            raise DegenerateJet("Gram determinant %.3e" % np.linalg.det(gram))
 
 
 @dataclass
@@ -83,7 +80,6 @@ class BatchGeometry:
     normTracelessA2: np.ndarray
     kperp: np.ndarray | None
     gauss: np.ndarray | None
-    kbar: float
 
     @property
     def n(self) -> int:
@@ -138,7 +134,7 @@ def _orthonormal_normals(position, tangent, k):
     return normal
 
 
-def batch_geometry(position, first, second, kbar: float = 1.0) -> BatchGeometry:
+def batch_geometry(position, first, second) -> BatchGeometry:
     """Compute extrinsic geometry for a batch of second-order jets.
 
     Component-major, as batch_jets returns them: position (m+1, ...),
@@ -189,31 +185,9 @@ def batch_geometry(position, first, second, kbar: float = 1.0) -> BatchGeometry:
     h = np.einsum("ip...,pja...->ija...", coeff, np.einsum("jq...,pqa...->pja...", coeff, proj))
     h = 0.5 * (h + np.swapaxes(h, 0, 1))  # enforce exact (i,j) symmetry
 
-    mean = np.trace(h)
-    normA2 = np.einsum("ija...,ija...->...", h, h)
-    normH2 = _dot(mean, mean)
-
-    # exact background-curvature rescaling
-    if kbar != 1.0:
-        s = np.sqrt(kbar)
-        h = h * s
-        mean = mean * s
-        normA2 = normA2 * kbar
-        normH2 = normH2 * kbar
-        gram = gram / kbar
-        coeff = coeff * s
-
-    traceless = normA2 - normH2 / n
-
-    kperp = None
-    if n == 2 and k == 2:
-        # sum_p h_{1p1} h_{2p2} - h_{2p1} h_{1p2}, with rows = tangent slot 1/2
-        t = h[0, :, 0] * h[1, :, 1] - h[1, :, 0] * h[0, :, 1]
-        kperp = t[0] + t[1]
-
-    gauss = None
-    if n == 2:
-        gauss = kbar + (normH2 - normA2) / 2.0
+    normA2, normH2, traceless = norms_batch(h)
+    kperp = kperp_scalar(h) if (n, k) == (2, 2) else None
+    gauss = 1.0 + (normH2 - normA2) / 2.0 if n == 2 else None
 
     return BatchGeometry(
         metric=gram,
@@ -221,17 +195,16 @@ def batch_geometry(position, first, second, kbar: float = 1.0) -> BatchGeometry:
         normal=normal,
         chart_coeff=coeff,
         h=h,
-        mean=mean,
+        mean=mean_vector(h),
         normA2=normA2,
         normH2=normH2,
         normTracelessA2=traceless,
         kperp=kperp,
         gauss=gauss,
-        kbar=kbar,
     )
 
 
-def point_geometry(jet: Jet2, kbar: float = 1.0) -> BatchGeometry:
+def point_geometry(jet: Jet2) -> BatchGeometry:
     """Validate a single jet and return its geometry (empty batch shape)."""
     jet.validate()
-    return batch_geometry(jet.position, jet.first_derivs, jet.second_derivs, kbar=kbar)
+    return batch_geometry(jet.position, jet.first_derivs, jet.second_derivs)

@@ -102,7 +102,7 @@ def test_criterion_04_canonical_invariants():
         "veronese": (4.0 / 3.0, 0.0, 2.0 / 3.0, 1.0 / 3.0),
     }
     for kind, (a2, hnorm, kp_abs, gauss) in targets.items():
-        geom = point_geometry(make_surface(kind).jet_at(0.9, 1.3), kbar=1.0)
+        geom = point_geometry(make_surface(kind).jet_at(0.9, 1.3))
         worst = max(worst,
                     abs(geom.normA2 - a2),
                     abs(np.sqrt(geom.normH2) - hnorm),
@@ -115,7 +115,7 @@ def test_criterion_04_canonical_invariants():
                       abs(geom.normA2 - (1.0 - disc)))
         worst = max(worst, cls_err)
     # Veronese Laplacian factor 2 - b^2 - 3a^2 - 3c^2 (orthonormal-frame sff)
-    geom = point_geometry(make_surface("veronese").jet_at(0.9, 1.3), kbar=1.0)
+    geom = point_geometry(make_surface("veronese").jet_at(0.9, 1.3))
     lap = kperp_checks(geom.h, kbar=1.0).laplacian_factor
     worst = max(worst, abs(lap))
     ok = worst <= 1e-9

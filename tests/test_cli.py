@@ -101,13 +101,13 @@ TORUS_8 = ["flow", "--surface", "flat-torus", "--nv", "8"]
     (TORUS_8 + ["--nu", "8"], {"cfl": "fast"}),
     (TORUS_8 + ["--nu", "8"], {"cfl": None}),
     (TORUS_8 + ["--nu", "8"], {"t_max": True}),
-    (TORUS_8 + ["--nu", "8"], {"kbar": [1.0]}),
+    (TORUS_8 + ["--nu", "8"], {"sigma": [0.5]}),
     (["sweep", "--variant", "thm1"], {"resolution": 8.0}),
     (["sweep", "--variant", "thm1", "--resolution", "8"], {"no_bisect": "yes"}),
     (["sweep", "--variant", "thm1", "--resolution", "8"], {"no_bisect": 1}),
     (["verify", "--trials", "20"], {"seed": -0.5}),
 ], ids=["nu_float", "stride_float", "scheme_choice", "cfl_text", "cfl_null", "t_max_bool",
-        "kbar_list", "resolution_float", "no_bisect_text", "no_bisect_int", "seed_float"])
+        "sigma_list", "resolution_float", "no_bisect_text", "no_bisect_int", "seed_float"])
 def test_config_value_rejected_like_its_flag(tmp_path, capsys, argv, cfg):
     """A config-file value that its flag would reject on the command line
     exits 2 before anything runs."""
@@ -303,9 +303,7 @@ def test_report_flags_unreadable_artifact(tmp_path, capsys):
     ["flow", "--surface", "geodesic-sphere", "--nu", "4", "--nv", "2"],
     ["flow", "--surface", "flat-torus", "--nu", "0"],
     ["flow", "--surface", "flat-torus", "--nu", "8", "--nv", "2"],
-    ["flow", "--surface", "geodesic-sphere", "--nu", "16", "--nv", "32", "--kbar", "0"],
-    ["flow", "--surface", "geodesic-sphere", "--nu", "16", "--nv", "32", "--kbar", "-1"],
-    ["flow", "--surface", "geodesic-sphere", "--nu", "16", "--nv", "32", "--kbar", "nan"],
+    ["sweep", "--variant", "thm1", "--resolution", "8", "--chunk", "100"],
     ["canonical", "--surface", "veronese", "--tol", "inf"],
     ["canonical", "--surface", "veronese", "--tol", "nan"],
     ["canonical", "--surface", "veronese", "--tol", "-1"],
@@ -327,7 +325,7 @@ def test_report_flags_unreadable_artifact(tmp_path, capsys):
      "--harnack-csharp", "1", "--harnack-delta0", "nan"],
 ], ids=["trials0", "trials-3", "tol_inf", "tol_nan", "tol_neg", "tol0", "seed_neg", "stride0",
         "stride-5", "sphere_nv15", "sphere_nu3", "sphere_nv0", "sphere_nv2",
-        "torus_nu0", "torus_nv2", "kbar0", "kbar_neg", "kbar_nan", "canonical_tol_inf",
+        "torus_nu0", "torus_nv2", "sweep_chunk100", "canonical_tol_inf",
         "canonical_tol_nan", "canonical_tol_neg", "canonical_r1_nan", "flow_r1_nan",
         "amplitude_nan", "amplitude_inf", "harnack_csharp_nan", "harnack_csharp_inf",
         "harnack_csharp_neg", "harnack_csharp0", "harnack_delta0_inf", "harnack_delta0_nan"])
@@ -410,6 +408,15 @@ def test_flow_has_no_dimension_option(tmp_path):
                              "--output-dir", str(tmp_path)]) == 0
     cone = read_json(tmp_path / "flow.json")["config"]["cone"]
     assert (cone["n"], cone["alpha"]) == (2, 0.9)
+
+
+def test_flow_has_no_kbar_option(tmp_path):
+    """Flows run in the unit sphere, where every background curvature is
+    reached by scaling, so flow takes no --kbar, not even at its old default."""
+    with pytest.raises(SystemExit) as exc:
+        main(TINY_FLOW + ["--kbar", "1", "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_artifact_is_machine_independent(tmp_path):

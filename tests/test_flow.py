@@ -307,8 +307,8 @@ def test_monitor_grad_ratio_reads_the_margins_gradient(kind, params, nu, nv, amp
     cfg = FlowConfig(sigma=0.1)
     rec = monitor(grid, batch_jets(grid), cfg, 0.0)
     wrap_u = grid.topology == "torus"
-    geom = batch_geometry(*batch_jets(grid), kbar=cfg.kbar)
-    g = geom.normH2 / (geom.n - 1.0) - geom.normA2 + 2.0 * cfg.kbar
+    geom = batch_geometry(*batch_jets(grid))
+    g = geom.normH2 / (geom.n - 1.0) - geom.normA2 + 2.0
     g = g if wrap_u else g[1:-1]
     grad_a2 = gradient_margins(geom, grid.du, grid.dv, wrap_u).grad_a2
     assert rec.grad_ratio == float((grad_a2[g > 0] / g[g > 0] ** (2.0 - cfg.sigma)).max())
@@ -326,14 +326,12 @@ def test_monitor_with_cone_and_harnack():
         assert key in rec.indices
 
 
-def test_monitor_cone_uses_the_flow_kbar():
-    # Q = |A|^2 - alpha |H|^2 - beta kbar is homogeneous of degree 2 under the
-    # rescaling that batch_geometry applies for kbar
-    grid = geodesic_grid(np.pi / 3, 32, 64)
-    jets = batch_jets(grid)
-    q = [monitor(grid, jets, FlowConfig(kbar=kbar, cone=ConeParams("thm1", n=2)), 0.0).q_max
-         for kbar in (1.0, 4.0)]
-    assert abs(q[1] - 4.0 * q[0]) <= 1e-12 * abs(4.0 * q[0])
+def test_flow_cone_is_evaluated_at_unit_kbar():
+    """Flows run in the unit sphere, so a cone with another kbar is refused
+    rather than evaluated at a background curvature the flow does not have."""
+    with pytest.raises(BadParams, match="kbar = 1"):
+        FlowConfig(cone=ConeParams("thm1", kbar=2.0))
+    assert FlowConfig(cone=ConeParams("thm1")).cone == ConeParams("thm1")
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -54,6 +54,15 @@ def test_cone_params_reject_non_finite_constants(variant, name, value):
         ConeParams(variant, **{name: value})
 
 
+@pytest.mark.parametrize("n", [2.7, 3.5])
+def test_cone_params_reject_non_integral_n(n):
+    """A non-integral dimension is refused, not truncated (n = 2.7 would
+    become n = 2 with alpha = 2/3)."""
+    with pytest.raises(BadParams, match="n must be an integer"):
+        ConeParams("thm1", n=n)
+    assert ConeParams("thm1", n=4.0).n == 4
+
+
 def test_cone_params_delta_needs_the_gamma_rule():
     """delta enters only through the default gamma rule: with it the cone
     accepts delta (and keeps it through replace), with an explicit gamma off
@@ -348,6 +357,24 @@ def test_sweep_rejects_thm2_k_half():
                        SweepGrid(resolution=24, refine_rounds=0, bisect=False))
 
 
+@pytest.mark.parametrize("variant", ["thm1", "thm2"])
+def test_sweep_rejects_a_kbar_it_would_not_sweep(variant):
+    """The sweep's kbar is a slice coordinate, so a cone's kbar other than 1
+    would be reported but not swept: it is refused before the fit."""
+    with pytest.raises(BadParams, match="params.kbar must be 1"):
+        reaction_sweep(ConeParams(variant, kbar=3.0),
+                       SweepGrid(resolution=8, refine_rounds=0, bisect=False))
+
+
+@pytest.mark.parametrize("chunk", [1, 1023])
+def test_sweep_grid_rejects_a_chunk_below_its_floor(chunk):
+    """A chunk below 1024 configurations is refused, not walked as 1024 while
+    the report's config records the smaller value."""
+    with pytest.raises(BadParams, match="chunk must be at least 1024"):
+        SweepGrid(chunk=chunk)
+    assert SweepGrid(chunk=1024).chunk == 1024
+
+
 def test_sweep_sign_is_relative_to_the_reaction_size():
     """Near k = 1/2 the argmax has |H|^2 = 2e5 and the contractions round at
     1e-16 of |H|^4, so the recheck's 3.8e-6 is roundoff, not a positive sup."""
@@ -624,7 +651,7 @@ def test_chunks_cover_the_lattice_in_order(res, dim, chunk):
     flat = np.stack(np.unravel_index(np.arange(res ** dim), (res,) * dim)) / (res - 1.0)
     done = 0
     for lo, hi in _chunk_ranges(params, stratum, res, chunk):
-        assert lo == done and hi - lo <= max(1024, chunk)
+        assert lo == done and hi - lo <= chunk
         block = np.stack([np.ravel(co) for co in np.broadcast_arrays(
             *_lattice_chunk(params, stratum, res, lo, hi))])
         assert np.array_equal(block, flat[:, lo:hi])

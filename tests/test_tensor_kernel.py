@@ -49,7 +49,7 @@ def test_veronese_point_values():
 
 
 def test_traceless_and_gauss_identities_on_catalog():
-    """|Ao|^2 = |A|^2 - |H|^2/2 and K = kbar + (|H|^2 - |A|^2)/2 everywhere."""
+    """|Ao|^2 = |A|^2 - |H|^2/2 and K = 1 + (|H|^2 - |A|^2)/2 everywhere."""
     rng = np.random.default_rng(5)
     for kind in SURFACES:
         surf = make_surface(kind)
@@ -99,17 +99,6 @@ def test_frame_independence_under_reparametrization():
         assert abs(g.normTracelessA2 - base.normTracelessA2) < 1e-10
         assert abs(abs(g.kperp) - abs(base.kperp)) < 1e-10
         assert abs(g.gauss - base.gauss) < 1e-9
-
-
-def test_kbar_rescaling_law():
-    # kbar scales |A|^2, |H|^2 and K linearly (lengths scale by 1/sqrt(kbar))
-    surf = make_surface("geodesic-sphere", rho=np.pi / 3)
-    jet = surf.jet_at(0.7, 1.1)
-    g1 = point_geometry(jet, kbar=1.0)
-    g4 = point_geometry(jet, kbar=4.0)
-    assert abs(g4.normA2 - 4.0 * g1.normA2) < 1e-12
-    assert abs(g4.normH2 - 4.0 * g1.normH2) < 1e-12
-    assert abs(g4.gauss - 4.0 * g1.gauss) < 1e-12
 
 
 def test_degenerate_jet_raises():
